@@ -1,9 +1,10 @@
 //! The fuzz driver: battery execution, failing-case minimisation, and the
 //! self-contained `repro.json` format.
 //!
-//! Each case runs a battery of checks (invariant monitors on a calendar
-//! run, an engine-differential heap run, harness-supplied persistence
-//! oracles, blame tiling, and one metamorphic relation). On the first
+//! Each case runs a battery of checks (invariant monitors on a monitored
+//! run, an unmonitored twin run that must match it byte for byte,
+//! harness-supplied persistence oracles, blame tiling, and one metamorphic
+//! relation). On the first
 //! failing case the driver shrinks it — dropping workload components,
 //! halving windows, simplifying the seed — accepting a candidate only if
 //! the *same named check* still fails, then reports the minimal case.
@@ -16,11 +17,11 @@ use crate::diff::diff_reports;
 use crate::monitors::standard_monitors;
 use crate::relations;
 use h2_sim_core::trace_span::tiles_exactly;
-use h2_sim_core::{EngineKind, Json};
+use h2_sim_core::Json;
 use h2_system::{run_workloads, run_workloads_monitored, RunReport};
 
 /// Run label used for every battery run. Constant so that re-runs of the
-/// same case (engine oracle, relations, replay) compare equal on
+/// same case (monitor oracle, relations, replay) compare equal on
 /// `RunReport::mix`.
 pub const FUZZ_LABEL: &str = "fuzz";
 
@@ -83,7 +84,7 @@ fn battery_inner(case: &FuzzCase, hooks: &OracleHooks) -> Result<(), Failure> {
         .build()
         .map_err(|e| Failure::new("build", e))?;
 
-    // 1. Monitored run on the default (calendar) engine.
+    // 1. Monitored run.
     let mut monitors = standard_monitors();
     let report = run_workloads_monitored(
         &cfg,
@@ -117,16 +118,14 @@ fn battery_inner(case: &FuzzCase, hooks: &OracleHooks) -> Result<(), Failure> {
         }
     }
 
-    // 3. Engine differential: an *unmonitored* heap-engine run must match
-    //    byte-for-byte — proving both engine equivalence and that the
-    //    monitors perturbed nothing.
-    let mut heap_cfg = cfg.clone();
-    heap_cfg.engine = EngineKind::Heap;
-    let heap = run_workloads(&heap_cfg, FUZZ_LABEL, &cpu, gpu.as_ref(), kind, cap);
-    if let Some(d) = diff_reports(&report, &heap) {
+    // 3. Monitor differential: an *unmonitored* run must match
+    //    byte-for-byte, with no exclusions — proving the monitors
+    //    perturbed nothing and the run is deterministic.
+    let plain = run_workloads(&cfg, FUZZ_LABEL, &cpu, gpu.as_ref(), kind, cap);
+    if let Some(d) = diff_reports(&report, &plain) {
         return Err(Failure::new(
-            "oracle:engine-diff",
-            format!("calendar vs heap diverged: {d}"),
+            "oracle:monitor-diff",
+            format!("monitored vs unmonitored diverged: {d}"),
         ));
     }
 
@@ -163,7 +162,7 @@ fn battery_inner(case: &FuzzCase, hooks: &OracleHooks) -> Result<(), Failure> {
     relations::check(rel, case, FUZZ_LABEL, &report)
         .map_err(|e| Failure::new(format!("relation:{}", rel.name()), e))?;
 
-    // 7. Multi-tenant scenario battery (partition law, engine diff, blame
+    // 7. Multi-tenant scenario battery (partition law, monitor diff, blame
     //    tiling, tenant-permutation relation). Scenarios are a separate
     //    front-end family with their own sampled generator, so one case
     //    in eight suffices to keep campaign throughput.

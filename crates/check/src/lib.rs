@@ -3,7 +3,7 @@
 //! Because every Hydrogen simulation is a pure function of its
 //! [`h2_system::SystemConfig`] and workload mix, randomised testing gets
 //! the strongest possible oracle set for free: any two runs of the same
-//! case must agree byte-for-byte, regardless of event-queue engine,
+//! case must agree byte-for-byte, regardless of invariant monitors,
 //! observation layers, or persistence round-trips. This crate exploits
 //! that with three layers of checking over seeded random cases
 //! ([`FuzzCase`]):
@@ -13,9 +13,10 @@
 //!   conservation, fast-way occupancy bounds, remap-table coherence,
 //!   transaction accounting, counter monotonicity, device pipeline
 //!   limits.
-//! * **Differential oracles** ([`fuzz::OracleHooks`]) — calendar vs heap
-//!   engines, persistence-codec round-trips, and run-cache store/replay
-//!   must all reproduce the report exactly ([`diff::diff_reports`]).
+//! * **Differential oracles** ([`fuzz::OracleHooks`]) — monitored vs
+//!   unmonitored runs, persistence-codec round-trips, and run-cache
+//!   store/replay must all reproduce the report exactly
+//!   ([`diff::diff_reports`]).
 //! * **Metamorphic relations** ([`relations`]) — transformed re-runs with
 //!   semantics the paper pins down (observation layers never perturb
 //!   timing, absent processors generate no traffic, ...).

@@ -3,9 +3,8 @@
 //! Each monitor inspects the [`SimProbe`] snapshot the runner publishes at
 //! every epoch and faucet boundary (and once at end-of-run). Monitors are
 //! pure observers: registering them must not change a single cycle of the
-//! simulation, a property the engine-differential oracle proves on every
-//! fuzz case by comparing a monitored calendar run against an unmonitored
-//! heap run.
+//! simulation, a property the monitor-differential oracle proves on every
+//! fuzz case by comparing a monitored run against an unmonitored one.
 
 use h2_sim_core::{InvariantMonitor, MonitorSet};
 use h2_system::SimProbe;

@@ -36,16 +36,6 @@ pub enum Relation {
     /// observation-layer rewrite with no semantic freedom at all, so this
     /// diff runs with *no* exclusions.
     InternedMetrics,
-    /// Re-running under the batched dispatch kernel (same-timestamp
-    /// frontiers drained in one engine call) produces a byte-identical
-    /// report — batching is a pure loop transformation, so this diff also
-    /// runs with *no* exclusions.
-    BatchedKernel,
-    /// Re-running under the channel-parallel conservative-lookahead kernel
-    /// (DRAM channels simulated on worker threads between flush horizons)
-    /// produces a byte-identical report, telemetry and trace included — the
-    /// strongest relation in the catalogue, again with *no* exclusions.
-    ParallelKernel,
     /// Re-running with the HMC's alloc-mask memoisation disabled produces
     /// a byte-identical report — the memo is a pure caching layer over
     /// `policy.alloc_mask`, valid because masks only change at
@@ -63,8 +53,6 @@ impl Relation {
             Relation::EpochDouble => "epoch-double",
             Relation::NoMigrateZero => "no-migrate-zero",
             Relation::InternedMetrics => "interned-metrics",
-            Relation::BatchedKernel => "batched-kernel",
-            Relation::ParallelKernel => "parallel-kernel",
             Relation::MaskMemoOff => "mask-memo-off",
         }
     }
@@ -76,8 +64,6 @@ pub fn applicable(case: &FuzzCase) -> Vec<Relation> {
         Relation::TelemetryOff,
         Relation::TraceFlip,
         Relation::InternedMetrics,
-        Relation::BatchedKernel,
-        Relation::ParallelKernel,
         Relation::MaskMemoOff,
     ];
     if case.cpu.is_empty() || case.gpu.is_none() {
@@ -161,24 +147,6 @@ pub fn check(
                 Some(d) => Err(format!(
                     "interned metrics diverge from the string path: {d}"
                 )),
-            }
-        }
-        Relation::BatchedKernel => {
-            let variant = rerun(case, label, |cfg| {
-                cfg.kernel = h2_sim_core::SimKernel::Batched;
-            })?;
-            match diff_reports_except(base, &variant, &[]) {
-                None => Ok(()),
-                Some(d) => Err(format!("batched kernel diverges: {d}")),
-            }
-        }
-        Relation::ParallelKernel => {
-            let variant = rerun(case, label, |cfg| {
-                cfg.kernel = h2_sim_core::SimKernel::Parallel;
-            })?;
-            match diff_reports_except(base, &variant, &[]) {
-                None => Ok(()),
-                Some(d) => Err(format!("parallel kernel diverges: {d}")),
             }
         }
         Relation::MaskMemoOff => {

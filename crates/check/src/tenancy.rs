@@ -8,17 +8,19 @@
 //! bucket-by-bucket reproduces `lat.cpu_read` / `lat.gpu_demand`.
 //!
 //! [`scenario_battery`] runs a seeded sample scenario and checks:
-//! partition, engine differential (calendar vs heap bit-identical, tenant
-//! section included), blame tiling on traced scenario requests, and the
+//! partition, invariant monitors, monitor differential (a monitored and an
+//! unmonitored run bit-identical, tenant section included), blame tiling
+//! on traced scenario requests, and the
 //! tenant-permutation metamorphic relation: rotating tenant *declaration
 //! order* relays out the address space (so absolute numbers may change),
 //! but the run must still satisfy partition and preserve the tenant table
 //! as a set.
 
 use crate::diff::diff_reports;
+use crate::monitors::standard_monitors;
 use h2_sim_core::trace_span::tiles_exactly;
-use h2_sim_core::{EngineKind, LogHistogram};
-use h2_system::{run_scenario, PolicyKind, RunReport, SystemConfig};
+use h2_sim_core::LogHistogram;
+use h2_system::{run_scenario, run_scenario_monitored, PolicyKind, RunReport, SystemConfig};
 use h2_trace::{Arrival, TenantScenario, TenantSpec};
 
 /// Deterministically generate a small scenario from a seed: 1–3 tenants,
@@ -130,8 +132,9 @@ fn tenant_set(r: &RunReport) -> Vec<(String, u8)> {
     v
 }
 
-/// The full scenario battery for one fuzz case: partition + engine
-/// differential + blame tiling + the tenant-permutation relation.
+/// The full scenario battery for one fuzz case: partition + invariant
+/// monitors + monitor differential + blame tiling + the
+/// tenant-permutation relation.
 pub fn scenario_battery(case_seed: u64, sim_seed: u64) -> Result<(), String> {
     let sc = sample_scenario(case_seed);
     let mut cfg = SystemConfig::tiny();
@@ -144,7 +147,11 @@ pub fn scenario_battery(case_seed: u64, sim_seed: u64) -> Result<(), String> {
     cfg.trace_sample = Some(16);
     let kind = if case_seed.is_multiple_of(2) { PolicyKind::NoPart } else { PolicyKind::HydrogenFull };
 
-    let a = run_scenario(&cfg, &sc, kind);
+    let mut monitors = standard_monitors();
+    let a = run_scenario_monitored(&cfg, &sc, kind, None, Some(&mut monitors));
+    if let Some(v) = monitors.violations().first() {
+        return Err(format!("scenario invariant violated: {v}"));
+    }
     check_partition(&a)?;
     if let Some(trace) = &a.trace {
         for span in &trace.spans {
@@ -160,11 +167,11 @@ pub fn scenario_battery(case_seed: u64, sim_seed: u64) -> Result<(), String> {
         }
     }
 
-    let mut heap_cfg = cfg.clone();
-    heap_cfg.engine = EngineKind::Heap;
-    let b = run_scenario(&heap_cfg, &sc, kind);
+    // Monitor differential, with no exclusions: the monitors observed
+    // without perturbing a single cycle.
+    let b = run_scenario(&cfg, &sc, kind);
     if let Some(d) = diff_reports(&a, &b) {
-        return Err(format!("scenario calendar vs heap diverged: {d}"));
+        return Err(format!("scenario monitored vs unmonitored diverged: {d}"));
     }
 
     // Permutation relation: a reordered declaration relays out addresses,

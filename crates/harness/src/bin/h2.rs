@@ -13,8 +13,7 @@
 //! h2 run --jobs 4 fig8              # cap the simulation worker pool
 //! h2 fuzz --seeds 500               # deterministic simulation fuzzer (h2-check)
 //! h2 fuzz --replay repro.json       # replay a committed reproducer
-//! h2 bench [--gate|--baseline]      # per-kernel hot-path bench / regression gate
-//! h2 bench --kernel batched         # bench one dispatch kernel only
+//! h2 bench [--gate|--baseline]      # hot-path bench / regression gate
 //! h2 sweep spec.json [--jobs 4]     # run a sweep campaign (see DESIGN.md §16)
 //! h2 cache stats                    # inspect the persistent run store
 //! h2 cache gc --max-bytes 512M      # LRU-evict the store down to a budget
@@ -166,7 +165,7 @@ fn main() {
         }
         _ => {
             eprintln!(
-                "usage: h2 list | h2 [--telemetry <dir>] [--trace <dir> [--trace-sample N]] [--profile <dir>] [--jobs N] run <experiment>.. | h2 all | h2 fuzz [--seeds N] [--time-budget SECS] [--jobs N] [--replay FILE] | h2 bench [--gate|--baseline] [--iters N] [--kernel scalar|batched|parallel] [--preset tiny|multichan] [--profile] [--profile-out DIR] [--profile-snapshot] [--adopt-parallel FILE] | h2 sweep <spec.json> [--out FILE] [--jobs N] | h2 cache stats|gc [--max-bytes N[K|M|G]] [--dir D]"
+                "usage: h2 list | h2 [--telemetry <dir>] [--trace <dir> [--trace-sample N]] [--profile <dir>] [--jobs N] run <experiment>.. | h2 all | h2 fuzz [--seeds N] [--time-budget SECS] [--jobs N] [--replay FILE] | h2 bench [--gate|--baseline] [--iters N] [--profile] [--profile-out DIR] [--profile-snapshot] | h2 sweep <spec.json> [--out FILE] [--jobs N] | h2 cache stats|gc [--max-bytes N[K|M|G]] [--dir D]"
             );
             eprintln!("experiments: {}", ALL_EXPERIMENTS.join(" "));
             std::process::exit(2);

@@ -1,123 +1,85 @@
 //! `h2 bench` — the hot-path performance gate.
 //!
 //! Times the fully-observed simulator configuration (telemetry on, request
-//! tracing at the default 1/64 sample) end to end, once per dispatch
-//! kernel, and writes the results as `BENCH_hotpath.json` at the repo
-//! root. This is the configuration the zero-allocation and batching work
-//! targets: interned metric handles, the transaction and span slabs,
-//! pooled trace buffers, calendar-queue idle fast-forward, and the
-//! same-timestamp frontier batching of the `batched` kernel all sit on
-//! this path.
+//! tracing at the default 1/64 sample) end to end through the event loop
+//! and writes the results as `BENCH_hotpath.json` at the repo root. This is
+//! the configuration the zero-allocation work targets: interned metric
+//! handles, the transaction and span slabs, pooled trace buffers, and the
+//! calendar-queue idle fast-forward all sit on this path.
 //!
 //! ```text
-//! h2 bench                      # measure all kernels, write BENCH_hotpath.json
-//! h2 bench --kernel batched     # measure one kernel only
-//! h2 bench --gate               # also compare like-for-like against the
-//!                               # committed baseline; exit 1 on regression
+//! h2 bench                      # measure, write BENCH_hotpath.json
+//! h2 bench --gate               # also compare against the committed
+//!                               # baseline; exit 1 on regression
 //! h2 bench --baseline           # re-baseline: overwrite the committed file
 //! h2 bench --iters 40           # more samples (default 20)
-//! h2 bench --profile-out prof/  # write per-kernel profile JSON documents
-//! h2 bench --profile-snapshot   # re-record the committed profile shares
-//! h2 bench --adopt-parallel BENCH_hotpath.parallel-candidate.json
-//!                               # adopt the nightly parallel candidate
-//!                               # into the committed baseline
+//! h2 bench --profile-out prof/  # write the profile JSON document
+//! h2 bench --profile-snapshot   # re-record the committed profile share
 //! ```
 //!
 //! The committed baseline lives at `tests/bench/hotpath_baseline.json`
-//! (relative to the repo root). Each kernel's current numbers are gated
-//! against the *same kernel's* baseline numbers — never across kernels,
-//! whose cost models differ legitimately (the channel-parallel kernel
-//! pays messaging overhead that only pays off on multi-core hosts). The
-//! gate skips cleanly when the baseline is missing, so fresh clones and
-//! machines without a recorded baseline never fail; the same skip applies
-//! per kernel. The parallel kernel's tiny-bench throughput depends on the
-//! host's core count, so its baseline section is not pinned from an
-//! arbitrary development machine: the nightly CI job publishes a
-//! measured candidate artifact, and `h2 bench --adopt-parallel <file>`
-//! copies that candidate's parallel section into the committed baseline —
-//! a deliberate, reviewable adoption that then puts the parallel kernel
-//! under the same 10% like-for-like gate as the sequential ones.
-//! A baseline may also carry a `reference.seed_scalar_events_per_sec`
-//! field (the pre-SoA seed loop measured on the recording host): when
-//! present, the gate additionally requires the batched kernel to clear
-//! 1.5x that reference — the headline acceptance bar for the batching
-//! work. The field stays unset until a recording host actually clears
-//! the bar: the recorded speedups to date are real but smaller (see
-//! DESIGN.md for the measured trajectory), and writing an aspirational
-//! reference would either fail every gate or misstate the measurement.
+//! (relative to the repo root). A gate needs data to compare against: a
+//! missing or unreadable baseline fails `--gate` with the file path in the
+//! message, as does a baseline without numbers for the measured section.
 //!
 //! Allocation accounting needs the counting global allocator, which is
 //! compiled in only with `--features alloc-count` (off by default so
 //! ordinary builds pay nothing; its overhead on a zero-allocation hot
 //! path is one relaxed atomic per — rare — allocation, so CI builds the
 //! gate with it on). Without the feature, `allocs_per_event` is reported
-//! as `null` and not gated. When it *is* measured, the gate holds the
-//! sequential kernels (scalar, batched) to the zero-allocation bar, and
-//! the parallel kernel to its own near-zero budget: pooled `ChanOp`
-//! batches and recycled flush buffers brought cross-thread messaging to
-//! sequential-level allocation rates, so a return to per-message
-//! allocation is a regression the gate must catch.
+//! as `null` and not gated. When it *is* measured, the gate holds the loop
+//! to the zero-allocation bar.
 //!
-//! With `--profile`, each kernel also gets one run with the self-profiler
+//! With `--profile`, the bench also gets one run with the self-profiler
 //! armed (after the timed iterations, so recorded numbers are
 //! undistorted). The armed run feeds two further outputs: `--profile-out
-//! <dir>` writes each kernel's full attribution tree as
-//! `profile_<kernel>.json`, and the `hmc.access` self-time share is
-//! checked against the committed snapshot at
-//! `tests/bench/profile_snapshot.json` — growing more than 10% relative
-//! fails the command. `--profile-snapshot` rewrites that snapshot from
-//! the current run (the profile analogue of `--baseline`).
+//! <dir>` writes the full attribution tree as `profile_scalar.json`, and
+//! the `hmc.access` self-time share is checked against the committed
+//! snapshot at `tests/bench/profile_snapshot.json` — growing more than 10%
+//! relative fails the command, and so does a snapshot that is missing,
+//! unreadable, or has no entry for this bench. `--profile-snapshot`
+//! rewrites that snapshot from the current run (the profile analogue of
+//! `--baseline`).
 
 use crate::alloc_count;
-use h2_sim_core::{prof, Json, SimKernel};
+use h2_sim_core::{prof, Json};
 use h2_system::{run_sim, PolicyKind, SystemConfig};
 use h2_trace::Mix;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Machine-readable results file, written at the repo root.
 pub const RESULTS_FILE: &str = "BENCH_hotpath.json";
 
-/// Results file for the multi-channel preset. Kept separate from
-/// [`RESULTS_FILE`] so the committed tiny baseline and its gate are
-/// untouched by preset runs.
-pub const RESULTS_FILE_MULTICHAN: &str = "BENCH_hotpath_multichan.json";
-
-/// The known bench presets. `tiny` is the gated configuration; `multichan`
-/// doubles cores/EUs and channels (16 shards) so the parallel kernel's
-/// conservative-lookahead window is wide enough to be measured fairly
-/// (ROADMAP item 2a) — its numbers feed the nightly candidate artifact,
-/// never the committed baseline.
-pub const PRESETS: &[&str] = &["tiny", "multichan"];
-
 /// Committed baseline path, relative to the repo root.
 pub const BASELINE_FILE: &str = "tests/bench/hotpath_baseline.json";
+
+/// The stable bench identifier recorded in the results document. The
+/// workload matches the `full_system_tiny_c1_150k_traced` microbench.
+pub const BENCH_NAME: &str = "full_system_tiny_c1_150k_traced";
+
+/// The measured section's key in the results, baseline, and snapshot
+/// documents — named after the event loop's `run.scalar` profile root.
+pub const SECTION: &str = "scalar";
 
 /// A regression worse than this fraction of the baseline fails `--gate`.
 pub const GATE_TOLERANCE: f64 = 0.10;
 
-/// Sequential kernels must stay at (effectively) zero steady-state
-/// allocations per event when the counting allocator is compiled in.
-/// The budget is not exactly zero because the differential measurement
-/// cannot cancel *output-proportional* growth: the telemetry timeline
-/// appends one epoch record per telemetry epoch and the tracer retains
-/// one span per sampled request, so their amortized `Vec` doublings
-/// scale with the measure window, not with warm-up. That residual is
-/// ~0.017 allocations/event on the traced bench; the per-event simulation
-/// path itself (transaction slabs, pending-command SoA, trace scratch
-/// buffers) allocates nothing in steady state.
+/// The loop must stay at (effectively) zero steady-state allocations per
+/// event when the counting allocator is compiled in. The budget is not
+/// exactly zero because the differential measurement cannot cancel
+/// *output-proportional* growth: the telemetry timeline appends one epoch
+/// record per telemetry epoch and the tracer retains one span per sampled
+/// request, so their amortized `Vec` doublings scale with the measure
+/// window, not with warm-up. That residual is ~0.017 allocations/event on
+/// the traced bench; the per-event simulation path itself (transaction
+/// slabs, pending-command SoA, trace scratch buffers) allocates nothing in
+/// steady state.
 pub const ALLOC_GATE: f64 = 0.02;
 
-/// The parallel kernel's steady-state allocation budget. Pooled `ChanOp`
-/// batches, recycled flush buffers, and the shard pump scratch leave only
-/// channel-internal block allocations and the telemetry/trace residual,
-/// so the budget sits just above the sequential bar rather than orders of
-/// magnitude over it (it was ~0.8 allocations/event before pooling).
-pub const PARALLEL_ALLOC_GATE: f64 = 0.05;
-
 /// Committed profile-share snapshot, relative to the repo root. Records
-/// the `hmc.access` exclusive-time share per kernel on the tiny bench;
-/// `--profile` runs fail when the live share grows more than
-/// [`PROFILE_SHARE_TOLERANCE`] relative against it.
+/// the `hmc.access` exclusive-time share on the bench; `--profile` runs
+/// fail when the live share grows more than [`PROFILE_SHARE_TOLERANCE`]
+/// relative against it.
 pub const PROFILE_SNAPSHOT_FILE: &str = "tests/bench/profile_snapshot.json";
 
 /// The profiled phase whose self-time share the profile gate tracks.
@@ -126,17 +88,6 @@ pub const PROFILE_GATE_LABEL: &str = "hmc.access";
 /// Relative growth of the gated phase's self-time share that fails a
 /// profiled run: `share > snapshot * (1 + tolerance)`.
 pub const PROFILE_SHARE_TOLERANCE: f64 = 0.10;
-
-/// The batched kernel must clear this multiple of the recorded seed-loop
-/// reference throughput (when the baseline carries one).
-pub const SPEEDUP_BAR: f64 = 1.5;
-
-/// The measurable dispatch kernels, in reporting order.
-pub const KERNELS: &[(&str, SimKernel)] = &[
-    ("scalar", SimKernel::Scalar),
-    ("batched", SimKernel::Batched),
-    ("parallel", SimKernel::Parallel),
-];
 
 /// Parsed `h2 bench` arguments.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,24 +98,16 @@ pub struct BenchArgs {
     pub baseline: bool,
     /// Timed iterations (p50/p99 resolution improves with more).
     pub iters: u64,
-    /// Kernels to measure (names from [`KERNELS`]); empty means all.
-    pub kernels: Vec<&'static str>,
-    /// Bench preset (name from [`PRESETS`]).
-    pub preset: &'static str,
-    /// After timing each kernel, run once with the self-profiler armed and
-    /// print the host-time attribution tree (the timed iterations stay
-    /// unprofiled so the recorded numbers are undistorted).
+    /// After timing, run once with the self-profiler armed and print the
+    /// host-time attribution tree (the timed iterations stay unprofiled so
+    /// the recorded numbers are undistorted).
     pub profile: bool,
-    /// Directory for per-kernel `profile_<kernel>.json` documents from the
-    /// armed runs (implies `profile`).
+    /// Directory for the `profile_scalar.json` document from the armed run
+    /// (implies `profile`).
     pub profile_out: Option<String>,
     /// Rewrite the committed profile-share snapshot from this run's armed
-    /// profiles (implies `profile`; the profile analogue of `baseline`).
+    /// profile (implies `profile`; the profile analogue of `baseline`).
     pub profile_snapshot: bool,
-    /// Adopt the parallel-kernel section of a candidate results document
-    /// (the nightly CI artifact) into the committed baseline, then exit —
-    /// no measurement happens.
-    pub adopt_parallel: Option<String>,
 }
 
 impl Default for BenchArgs {
@@ -173,12 +116,9 @@ impl Default for BenchArgs {
             gate: false,
             baseline: false,
             iters: 20,
-            kernels: Vec::new(),
-            preset: "tiny",
             profile: false,
             profile_out: None,
             profile_snapshot: false,
-            adopt_parallel: None,
         }
     }
 }
@@ -204,42 +144,6 @@ impl BenchArgs {
                         return Err("--iters must be > 0 (zero samples measure nothing)".into());
                     }
                 }
-                "--kernel" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| "--kernel needs an argument".to_string())?;
-                    for name in v.split(',') {
-                        let known = KERNELS
-                            .iter()
-                            .find(|(n, _)| *n == name)
-                            .map(|(n, _)| *n)
-                            .ok_or_else(|| {
-                                format!(
-                                    "unknown kernel '{name}' (choose from: {})",
-                                    KERNELS
-                                        .iter()
-                                        .map(|(n, _)| *n)
-                                        .collect::<Vec<_>>()
-                                        .join(", ")
-                                )
-                            })?;
-                        if !out.kernels.contains(&known) {
-                            out.kernels.push(known);
-                        }
-                    }
-                }
-                "--preset" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| "--preset needs an argument".to_string())?;
-                    out.preset = PRESETS
-                        .iter()
-                        .find(|p| **p == v.as_str())
-                        .copied()
-                        .ok_or_else(|| {
-                            format!("unknown preset '{v}' (choose from: {})", PRESETS.join(", "))
-                        })?;
-                }
                 "--profile" => out.profile = true,
                 "--profile-out" => {
                     let v = it
@@ -252,15 +156,9 @@ impl BenchArgs {
                     out.profile_snapshot = true;
                     out.profile = true;
                 }
-                "--adopt-parallel" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| "--adopt-parallel needs a candidate results file".to_string())?;
-                    out.adopt_parallel = Some(v.clone());
-                }
                 other => {
                     return Err(format!(
-                        "unknown argument '{other}' (usage: h2 bench [--gate] [--baseline] [--iters N] [--kernel scalar|batched|parallel] [--preset tiny|multichan] [--profile] [--profile-out DIR] [--profile-snapshot] [--adopt-parallel FILE])"
+                        "unknown argument '{other}' (usage: h2 bench [--gate] [--baseline] [--iters N] [--profile] [--profile-out DIR] [--profile-snapshot])"
                     ))
                 }
             }
@@ -277,65 +175,19 @@ impl BenchArgs {
                     .into(),
             );
         }
-        if out.adopt_parallel.is_some() && (out.gate || out.baseline) {
-            return Err(
-                "--adopt-parallel is a standalone baseline edit; drop --gate/--baseline".into(),
-            );
-        }
-        if out.preset != "tiny" && (out.gate || out.baseline || out.profile_snapshot) {
-            return Err(format!(
-                "--preset {} cannot be gated or baselined (the committed baseline records the tiny preset only)",
-                out.preset
-            ));
-        }
         Ok(out)
-    }
-
-    /// The kernels this invocation measures, in [`KERNELS`] order.
-    pub fn selected(&self) -> Vec<(&'static str, SimKernel)> {
-        KERNELS
-            .iter()
-            .filter(|(n, _)| self.kernels.is_empty() || self.kernels.contains(n))
-            .copied()
-            .collect()
     }
 }
 
-/// The benchmark configuration: the preset system, fully observed. The
-/// `tiny` preset matches the `full_system_tiny_c1_150k_traced` microbench,
-/// the workload the ≥1.5x hot-path acceptance bar is stated against. The
-/// `multichan` preset widens the machine to 8+8 channels (16 shards) with
-/// twice the cores/EUs to keep them fed.
-fn bench_cfg(preset: &str, measure_cycles: u64, kernel: SimKernel) -> SystemConfig {
+/// The benchmark configuration: the tiny system, fully observed. Matches
+/// the `full_system_tiny_c1_150k_traced` microbench.
+fn bench_cfg(measure_cycles: u64) -> SystemConfig {
     let mut cfg = SystemConfig::tiny();
-    if preset == "multichan" {
-        cfg.cpu_cores = 4;
-        cfg.gpu_eus = 32;
-        cfg.fast_channels = 8;
-        cfg.slow_channels = 8;
-    }
     cfg.warmup_cycles = 50_000;
     cfg.measure_cycles = measure_cycles;
     cfg.telemetry = true;
     cfg.trace_sample = Some(64);
-    cfg.kernel = kernel;
     cfg
-}
-
-/// The stable bench identifier recorded in the results document.
-fn bench_name(preset: &str) -> &'static str {
-    match preset {
-        "multichan" => "full_system_multichan_c1_150k_traced",
-        _ => "full_system_tiny_c1_150k_traced",
-    }
-}
-
-/// Results file for a preset (at the repo root).
-fn results_file(preset: &str) -> &'static str {
-    match preset {
-        "multichan" => RESULTS_FILE_MULTICHAN,
-        _ => RESULTS_FILE,
-    }
 }
 
 /// One timed measurement of the traced full-system run.
@@ -344,8 +196,8 @@ struct Measured {
     events_per_iter: u64,
 }
 
-fn measure(preset: &str, iters: u64, kernel: SimKernel) -> Measured {
-    let cfg = bench_cfg(preset, 100_000, kernel);
+fn measure(iters: u64) -> Measured {
+    let cfg = bench_cfg(100_000);
     let mix = Mix::by_name("C1").unwrap();
     // Warm the page cache, branch predictors, and the lazy workload tables.
     let warm = run_sim(&cfg, &mix, PolicyKind::HydrogenFull);
@@ -369,13 +221,13 @@ fn measure(preset: &str, iters: u64, kernel: SimKernel) -> Measured {
 /// that differ only in measure-window length, so constructor and warm-up
 /// allocations cancel and only the per-event steady state remains.
 /// `None` when the counting allocator is not compiled in.
-fn allocs_per_event(preset: &str, kernel: SimKernel) -> Option<f64> {
+fn allocs_per_event() -> Option<f64> {
     if !alloc_count::enabled() {
         return None;
     }
     let mix = Mix::by_name("C1").unwrap();
-    let short = bench_cfg(preset, 100_000, kernel);
-    let long = bench_cfg(preset, 300_000, kernel);
+    let short = bench_cfg(100_000);
+    let long = bench_cfg(300_000);
     let a0 = alloc_count::allocs();
     let r_short = run_sim(&short, &mix, PolicyKind::HydrogenFull);
     let a1 = alloc_count::allocs();
@@ -406,14 +258,13 @@ fn percentile_supported(len: usize, p: f64) -> bool {
     p <= 0.5 || rank(p) > rank(0.5)
 }
 
-/// One kernel's measured section.
-struct KernelSection {
-    name: &'static str,
+/// The measured section.
+struct Section {
     m: Measured,
     allocs: Option<f64>,
 }
 
-impl KernelSection {
+impl Section {
     fn events_per_sec(&self) -> f64 {
         self.m.events_per_iter as f64 * 1e9 / self.m.ns[0].max(1) as f64
     }
@@ -435,17 +286,13 @@ impl KernelSection {
     }
 }
 
-fn results_json(preset: &str, iters: u64, sections: &[KernelSection]) -> Json {
-    let mut kernels = Json::obj();
-    for s in sections {
-        kernels = kernels.field(s.name, s.json());
-    }
+fn results_json(iters: u64, s: &Section) -> Json {
     Json::obj()
         .field("schema", 2u64)
-        .field("bench", bench_name(preset))
+        .field("bench", BENCH_NAME)
         .field("iters", iters)
-        .field("events_per_iter", sections.first().map(|s| s.m.events_per_iter).unwrap_or(0))
-        .field("kernels", kernels)
+        .field("events_per_iter", s.m.events_per_iter)
+        .field("kernels", Json::obj().field(SECTION, s.json()))
 }
 
 /// The nearest ancestor directory holding `.git` (the repo root); falls
@@ -473,132 +320,62 @@ fn f64_of(j: &Json) -> Option<f64> {
     }
 }
 
-/// A kernel's `events_per_sec` from a schema-2 document, or the top-level
-/// value of a legacy schema-1 document for the scalar kernel.
-fn kernel_eps(doc: &Json, kernel: &str) -> Option<f64> {
-    if let Some(k) = doc.get("kernels").and_then(|k| k.get(kernel)) {
-        return k.get("events_per_sec").and_then(f64_of);
-    }
-    if kernel == "scalar" {
-        return doc.get("events_per_sec").and_then(f64_of);
-    }
-    None
-}
-
-fn kernel_allocs(doc: &Json, kernel: &str) -> Option<f64> {
+/// A numeric field of the measured section in a results document.
+fn section_f64(doc: &Json, field: &str) -> Option<f64> {
     doc.get("kernels")
-        .and_then(|k| k.get(kernel))
-        .and_then(|k| k.get("allocs_per_event"))
+        .and_then(|k| k.get(SECTION))
+        .and_then(|k| k.get(field))
         .and_then(f64_of)
 }
 
-/// Gate verdict against a baseline document: every kernel measured in
-/// `current` that also has baseline numbers is compared like-for-like.
-/// `Ok(lines)` passes, `Err(message)` is a regression.
-pub fn gate_verdict(current: &Json, baseline: &Json) -> Result<Vec<String>, String> {
-    let mut lines = Vec::new();
-    let mut compared = 0;
-    for (name, _) in KERNELS {
-        let Some(cur) = kernel_eps(current, name) else { continue };
-        let Some(base) = kernel_eps(baseline, name) else {
-            lines.push(format!("{name}: no baseline numbers, skipped"));
-            continue;
-        };
-        compared += 1;
-        let ratio = cur / base.max(1e-9);
-        let line = format!(
-            "{name}: {:.2} Mev/s vs baseline {:.2} Mev/s ({:+.1}%)",
-            cur / 1e6,
-            base / 1e6,
-            (ratio - 1.0) * 100.0
-        );
-        if ratio < 1.0 - GATE_TOLERANCE {
+/// Read and parse a committed JSON document. Every failure names the file.
+fn read_json(path: &Path) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    Json::parse(&text).map_err(|e| format!("unreadable JSON {}: {e}", path.display()))
+}
+
+/// Gate verdict against a baseline document. `Ok(line)` passes,
+/// `Err(message)` is a regression or a baseline with nothing to compare.
+pub fn gate_verdict(current: &Json, baseline: &Json) -> Result<String, String> {
+    let cur = section_f64(current, "events_per_sec")
+        .ok_or_else(|| format!("current results carry no {SECTION} events_per_sec"))?;
+    let base = section_f64(baseline, "events_per_sec")
+        .ok_or_else(|| format!("baseline has no {SECTION} events_per_sec to compare against"))?;
+    let ratio = cur / base.max(1e-9);
+    let line = format!(
+        "{SECTION}: {:.2} Mev/s vs baseline {:.2} Mev/s ({:+.1}%)",
+        cur / 1e6,
+        base / 1e6,
+        (ratio - 1.0) * 100.0
+    );
+    if ratio < 1.0 - GATE_TOLERANCE {
+        return Err(format!(
+            "hot-path regression: {line}, worse than the {:.0}% tolerance",
+            GATE_TOLERANCE * 100.0
+        ));
+    }
+    if let Some(a) = section_f64(current, "allocs_per_event") {
+        if a > ALLOC_GATE {
             return Err(format!(
-                "hot-path regression: {line}, worse than the {:.0}% tolerance",
-                GATE_TOLERANCE * 100.0
+                "hot-path regression: the event loop allocates {a:.4}/event (budget {ALLOC_GATE})"
             ));
         }
-        lines.push(line);
-        // Allocation bars: zero (plus the telemetry/trace residual) for
-        // the sequential kernels, and the pooled-messaging budget for the
-        // parallel kernel — its cross-thread batches are recycled, so
-        // per-message allocation is a regression, not a design cost.
-        let budget = if *name == "parallel" { PARALLEL_ALLOC_GATE } else { ALLOC_GATE };
-        if let Some(a) = kernel_allocs(current, name) {
-            if a > budget {
-                return Err(format!(
-                    "hot-path regression: {name} kernel allocates {a:.4}/event \
-                     (budget {budget})"
-                ));
-            }
-        }
     }
-    if compared == 0 {
-        return Err("no kernel measured in both current results and baseline".into());
-    }
-    // Headline speedup bar: batched vs the recorded seed-loop reference.
-    if let Some(seed_eps) = baseline
-        .get("reference")
-        .and_then(|r| r.get("seed_scalar_events_per_sec"))
-        .and_then(f64_of)
-    {
-        if let Some(batched) = kernel_eps(current, "batched") {
-            let speedup = batched / seed_eps.max(1e-9);
-            let line = format!(
-                "batched speedup vs seed loop: {speedup:.2}x ({:.2} vs {:.2} Mev/s, bar {SPEEDUP_BAR}x)",
-                batched / 1e6,
-                seed_eps / 1e6
-            );
-            if speedup < SPEEDUP_BAR {
-                return Err(format!("hot-path regression: {line}"));
-            }
-            lines.push(line);
-        }
-    }
-    Ok(lines)
+    Ok(line)
 }
 
-/// Set-or-replace a field on a JSON object (plain [`Json::field`] appends,
-/// which would leave a shadowed duplicate behind).
-fn set_field(obj: &mut Json, name: &str, v: Json) {
-    match obj {
-        Json::Obj(fields) => match fields.iter_mut().find(|(n, _)| n == name) {
-            Some((_, slot)) => *slot = v,
-            None => fields.push((name.to_string(), v)),
-        },
-        _ => panic!("set_field on non-object"),
-    }
-}
-
-/// Merge the parallel-kernel section of a candidate results document (the
-/// nightly CI artifact) into a baseline document, leaving every other
-/// baseline field — sequential kernels, the seed reference — untouched.
-/// The adoption is recorded in a `parallel_adopted_from` field naming the
-/// candidate's bench identifier.
-pub fn adopt_parallel_section(baseline: &Json, candidate: &Json) -> Result<Json, String> {
-    let section = candidate
-        .get("kernels")
-        .and_then(|k| k.get("parallel"))
-        .ok_or_else(|| "candidate document has no kernels.parallel section".to_string())?;
-    if section.get("events_per_sec").and_then(f64_of).is_none() {
-        return Err("candidate kernels.parallel carries no events_per_sec".into());
-    }
-    let mut out = baseline.clone();
-    let mut kernels = baseline.get("kernels").cloned().unwrap_or_else(Json::obj);
-    set_field(&mut kernels, "parallel", section.clone());
-    set_field(&mut out, "kernels", kernels);
-    let bench = candidate
-        .get("bench")
-        .cloned()
-        .unwrap_or_else(|| Json::Str("unknown".into()));
-    set_field(&mut out, "parallel_adopted_from", bench);
-    Ok(out)
+/// `--gate` against the baseline file at `path`: a missing or unreadable
+/// baseline fails like a regression, never skips.
+pub fn gate_against_file(current: &Json, path: &Path) -> Result<String, String> {
+    let baseline = read_json(path)?;
+    gate_verdict(current, &baseline).map_err(|e| format!("{e} (baseline {})", path.display()))
 }
 
 /// Exclusive-time share of every node labelled `label` in a profile tree,
 /// as a fraction of the profiled total. Summed across occurrences (the
-/// scalar and batched kernels enter `hmc.access` from different dispatch
-/// scopes) so the share is position-independent.
+/// loop enters `hmc.access` from several dispatch scopes) so the share is
+/// position-independent.
 pub fn profile_share(report: &prof::ProfReport, label: &str) -> f64 {
     fn walk(n: &prof::ProfNode, label: &str, acc: &mut u64) {
         if n.name == label {
@@ -615,26 +392,21 @@ pub fn profile_share(report: &prof::ProfReport, label: &str) -> f64 {
     acc as f64 / report.total_ns().max(1) as f64
 }
 
-/// Compare a kernel's live profile share against the committed snapshot.
-/// `Ok(None)` when the snapshot does not cover this bench or kernel (the
-/// gate skips, like a missing bench baseline); `Ok(Some(line))` on a
-/// pass; `Err(message)` when the share grew beyond the tolerance.
-pub fn share_verdict(
-    kernel: &str,
-    bench: &str,
-    share: f64,
-    snapshot: &Json,
-) -> Result<Option<String>, String> {
-    if snapshot.get("bench").and_then(Json::as_str) != Some(bench) {
-        return Ok(None);
+/// Compare the live profile share against the committed snapshot.
+/// `Ok(line)` on a pass; `Err(message)` when the share grew beyond the
+/// tolerance or the snapshot has no entry for this bench's loop.
+pub fn share_verdict(bench: &str, share: f64, snapshot: &Json) -> Result<String, String> {
+    let snap_bench = snapshot.get("bench").and_then(Json::as_str);
+    if snap_bench != Some(bench) {
+        return Err(format!(
+            "profile snapshot records bench {snap_bench:?}, not {bench:?}"
+        ));
     }
-    let Some(base) = snapshot
+    let base = snapshot
         .get("shares")
-        .and_then(|s| s.get(kernel))
+        .and_then(|s| s.get(SECTION))
         .and_then(f64_of)
-    else {
-        return Ok(None);
-    };
+        .ok_or_else(|| format!("profile snapshot has no {SECTION} share"))?;
     let label = snapshot
         .get("label")
         .and_then(Json::as_str)
@@ -642,7 +414,7 @@ pub fn share_verdict(
         .to_string();
     let rel = share / base.max(1e-12) - 1.0;
     let line = format!(
-        "{kernel}: {label} self-time {:.2}% vs snapshot {:.2}% ({rel:+.1}% rel)",
+        "{SECTION}: {label} self-time {:.2}% vs snapshot {:.2}% ({rel:+.1}% rel)",
         share * 100.0,
         base * 100.0,
         rel = rel * 100.0
@@ -653,21 +425,35 @@ pub fn share_verdict(
             PROFILE_SHARE_TOLERANCE * 100.0
         ));
     }
-    Ok(Some(line))
+    Ok(line)
+}
+
+/// The `--profile` share gate against the snapshot file at `path`: a
+/// missing, unreadable, or non-matching snapshot fails, never skips.
+pub fn share_against_file(share: f64, path: &Path) -> Result<String, String> {
+    let snapshot = read_json(path)?;
+    share_verdict(BENCH_NAME, share, &snapshot)
+        .map_err(|e| format!("{e} (snapshot {})", path.display()))
 }
 
 /// The committed profile-share snapshot document.
-fn snapshot_json(preset: &str, shares: &[(&str, f64)]) -> Json {
-    let mut s = Json::obj();
-    for (k, v) in shares {
-        s = s.field(k, Json::F64(*v));
-    }
+fn snapshot_json(share: f64) -> Json {
     Json::obj()
         .field("schema", 1u64)
         .field("kind", "h2-profile-snapshot")
-        .field("bench", bench_name(preset))
+        .field("bench", BENCH_NAME)
         .field("label", PROFILE_GATE_LABEL)
-        .field("shares", s)
+        .field("shares", Json::obj().field(SECTION, Json::F64(share)))
+}
+
+/// Write `doc` to `path`, creating the parent directory.
+fn write_json(path: &Path, doc: &Json) -> Result<(), String> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    }
+    std::fs::write(path, doc.to_string_pretty())
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 /// Run `h2 bench` end to end; returns the process exit code.
@@ -679,211 +465,93 @@ pub fn cmd_bench(args: &[String]) -> i32 {
             return 2;
         }
     };
+    match run_bench(&parsed, &repo_root()) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("[h2 bench] {e}");
+            2
+        }
+    }
+}
 
-    let root = repo_root();
-
-    if let Some(candidate_path) = &parsed.adopt_parallel {
-        // A baseline edit, not a measurement: copy the nightly candidate
-        // artifact's parallel section into the committed baseline.
-        let baseline_path = root.join(BASELINE_FILE);
-        let read_json = |path: &std::path::Path| -> Result<Json, String> {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            Json::parse(&text).map_err(|e| format!("unreadable JSON {}: {e}", path.display()))
-        };
-        let merged = read_json(std::path::Path::new(candidate_path)).and_then(|candidate| {
-            let baseline = read_json(&baseline_path).unwrap_or_else(|_| {
-                Json::obj().field("schema", 2u64).field("bench", bench_name("tiny"))
-            });
-            adopt_parallel_section(&baseline, &candidate)
-        });
-        return match merged {
-            Ok(doc) => match std::fs::write(&baseline_path, doc.to_string_pretty()) {
-                Ok(()) => {
-                    println!(
-                        "adopted parallel baseline from {candidate_path} into {}",
-                        baseline_path.display()
-                    );
-                    0
-                }
-                Err(e) => {
-                    eprintln!("[h2 bench] cannot write {}: {e}", baseline_path.display());
-                    2
-                }
-            },
-            Err(e) => {
-                eprintln!("[h2 bench] {e}");
-                2
-            }
-        };
+/// Measure, write the results, and apply the requested gates. `Err` is an
+/// I/O failure (exit 2); a failed gate prints its reason and returns 1.
+fn run_bench(parsed: &BenchArgs, root: &Path) -> Result<i32, String> {
+    eprintln!(
+        "[h2 bench] timing the traced full-system run ({} iters, telemetry on, trace 1/64)...",
+        parsed.iters
+    );
+    let s = Section { m: measure(parsed.iters), allocs: allocs_per_event() };
+    let mut line = format!("{BENCH_NAME}  best {} ns/iter", s.m.ns[0]);
+    if percentile_supported(s.m.ns.len(), 0.50) {
+        line.push_str(&format!("  p50 {} ns", percentile(&s.m.ns, 0.50)));
+    }
+    if percentile_supported(s.m.ns.len(), 0.99) {
+        line.push_str(&format!("  p99 {} ns", percentile(&s.m.ns, 0.99)));
+    } else {
+        line.push_str(&format!("  (p99 needs more than {} iters)", s.m.ns.len()));
+    }
+    println!("{line}  ({:.2} Mev/s)", s.events_per_sec() / 1e6);
+    match s.allocs {
+        Some(a) => println!("  steady-state allocations: {a:.4} per event"),
+        None => println!("  steady-state allocations: not measured (build with --features alloc-count)"),
     }
 
-    let snapshot = std::fs::read_to_string(root.join(PROFILE_SNAPSHOT_FILE))
-        .ok()
-        .and_then(|t| Json::parse(&t).ok());
-    let mut shares: Vec<(&'static str, f64)> = Vec::new();
-    let mut profile_gate_failed = false;
-
-    let mut sections = Vec::new();
-    for (name, kernel) in parsed.selected() {
-        eprintln!(
-            "[h2 bench] timing the traced full-system run, {} preset, {name} kernel ({} iters, telemetry on, trace 1/64)...",
-            parsed.preset, parsed.iters
-        );
-        let m = measure(parsed.preset, parsed.iters, kernel);
-        let allocs = allocs_per_event(parsed.preset, kernel);
-        let s = KernelSection { name, m, allocs };
-        let mut line = format!(
-            "{} [{name}]  best {} ns/iter",
-            bench_name(parsed.preset),
-            s.m.ns[0]
-        );
-        if percentile_supported(s.m.ns.len(), 0.50) {
-            line.push_str(&format!("  p50 {} ns", percentile(&s.m.ns, 0.50)));
+    let mut failed = false;
+    if parsed.profile {
+        // One extra run with the profiler armed, after the timed
+        // iterations — armed probes cost real time, so they never touch
+        // the recorded numbers.
+        prof::set_alloc_probe(alloc_count::allocs);
+        prof::reset();
+        prof::arm();
+        let _ = run_sim(&bench_cfg(100_000), &Mix::by_name("C1").unwrap(), PolicyKind::HydrogenFull);
+        prof::disarm();
+        let report = prof::take_report();
+        println!("\nhost-time profile (one armed run, not the timed iterations):");
+        print!("{}", report.render_text());
+        println!();
+        if let Some(dir) = &parsed.profile_out {
+            let path = root.join(dir).join(format!("profile_{SECTION}.json"));
+            write_json(&path, &report.to_json())?;
+            println!("profile: {}", path.display());
         }
-        if percentile_supported(s.m.ns.len(), 0.99) {
-            line.push_str(&format!("  p99 {} ns", percentile(&s.m.ns, 0.99)));
-        } else {
-            line.push_str(&format!(
-                "  (p99 needs more than {} iters)",
-                s.m.ns.len()
-            ));
-        }
-        println!("{line}  ({:.2} Mev/s)", s.events_per_sec() / 1e6);
-        match s.allocs {
-            Some(a) => println!("  steady-state allocations: {a:.4} per event"),
-            None => println!("  steady-state allocations: not measured (build with --features alloc-count)"),
-        }
-        if parsed.profile {
-            // One extra run with the profiler armed, after the timed
-            // iterations — armed probes cost real time, so they never
-            // touch the recorded numbers.
-            prof::set_alloc_probe(alloc_count::allocs);
-            prof::reset();
-            prof::arm();
-            let cfg = bench_cfg(parsed.preset, 100_000, kernel);
-            let _ = run_sim(&cfg, &Mix::by_name("C1").unwrap(), PolicyKind::HydrogenFull);
-            prof::disarm();
-            let report = prof::take_report();
-            println!("\nhost-time profile [{name}] (one armed run, not the timed iterations):");
-            print!("{}", report.render_text());
-            println!();
-            if let Some(dir) = &parsed.profile_out {
-                let dir = root.join(dir);
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    eprintln!("[h2 bench] cannot create {}: {e}", dir.display());
-                    return 2;
-                }
-                let path = dir.join(format!("profile_{name}.json"));
-                if let Err(e) = std::fs::write(&path, report.to_json().to_string_pretty()) {
-                    eprintln!("[h2 bench] cannot write {}: {e}", path.display());
-                    return 2;
-                }
-                println!("profile: {}", path.display());
-            }
-            let share = profile_share(&report, PROFILE_GATE_LABEL);
-            shares.push((name, share));
-            if !parsed.profile_snapshot {
-                if let Some(snap) = &snapshot {
-                    match share_verdict(name, bench_name(parsed.preset), share, snap) {
-                        Ok(Some(ok_line)) => println!("profile gate OK: {ok_line}"),
-                        Ok(None) => {}
-                        Err(msg) => {
-                            eprintln!("[h2 bench] {msg}");
-                            profile_gate_failed = true;
-                        }
-                    }
-                }
-            }
-        }
-        sections.push(s);
-    }
-    let doc = results_json(parsed.preset, parsed.iters, &sections);
-    let out = root.join(results_file(parsed.preset));
-    if let Err(e) = std::fs::write(&out, doc.to_string_pretty()) {
-        eprintln!("[h2 bench] cannot write {}: {e}", out.display());
-        return 2;
-    }
-    println!("results: {}", out.display());
-
-    if parsed.profile_snapshot {
+        let share = profile_share(&report, PROFILE_GATE_LABEL);
         let snap_path = root.join(PROFILE_SNAPSHOT_FILE);
-        if let Some(dir) = snap_path.parent() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("[h2 bench] cannot create {}: {e}", dir.display());
-                return 2;
+        if parsed.profile_snapshot {
+            write_json(&snap_path, &snapshot_json(share))?;
+            println!("profile snapshot: {}", snap_path.display());
+        } else {
+            match share_against_file(share, &snap_path) {
+                Ok(ok_line) => println!("profile gate OK: {ok_line}"),
+                Err(msg) => {
+                    eprintln!("[h2 bench] {msg}");
+                    failed = true;
+                }
             }
         }
-        let snap = snapshot_json(parsed.preset, &shares);
-        if let Err(e) = std::fs::write(&snap_path, snap.to_string_pretty()) {
-            eprintln!("[h2 bench] cannot write {}: {e}", snap_path.display());
-            return 2;
-        }
-        println!("profile snapshot: {}", snap_path.display());
     }
+
+    let doc = results_json(parsed.iters, &s);
+    let out = root.join(RESULTS_FILE);
+    write_json(&out, &doc)?;
+    println!("results: {}", out.display());
 
     let baseline_path = root.join(BASELINE_FILE);
     if parsed.baseline {
-        // Preserve an existing baseline's reference block (the seed-loop
-        // measurement is historical — re-measuring HEAD can't reproduce it).
-        let mut base_doc = doc;
-        if let Ok(old) = std::fs::read_to_string(&baseline_path) {
-            if let Ok(old) = Json::parse(&old) {
-                if let Some(reference) = old.get("reference") {
-                    base_doc = base_doc.field("reference", reference.clone());
-                }
-            }
-        }
-        if let Some(dir) = baseline_path.parent() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("[h2 bench] cannot create {}: {e}", dir.display());
-                return 2;
-            }
-        }
-        return match std::fs::write(&baseline_path, base_doc.to_string_pretty()) {
-            Ok(()) => {
-                println!("baseline: {}", baseline_path.display());
-                0
-            }
-            Err(e) => {
-                eprintln!("[h2 bench] cannot write {}: {e}", baseline_path.display());
-                2
-            }
-        };
+        write_json(&baseline_path, &doc)?;
+        println!("baseline: {}", baseline_path.display());
     }
-
     if parsed.gate {
-        let text = match std::fs::read_to_string(&baseline_path) {
-            Ok(t) => t,
-            Err(_) => {
-                eprintln!(
-                    "[h2 bench] no baseline at {} — gate skipped (run `h2 bench --baseline` to record one)",
-                    baseline_path.display()
-                );
-                return 0;
-            }
-        };
-        let base = match Json::parse(&text) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("[h2 bench] unreadable baseline {}: {e}", baseline_path.display());
-                return 2;
-            }
-        };
-        return match gate_verdict(&doc, &base) {
-            Ok(lines) => {
-                for line in lines {
-                    println!("gate OK: {line}");
-                }
-                i32::from(profile_gate_failed)
-            }
+        match gate_against_file(&doc, &baseline_path) {
+            Ok(line) => println!("gate OK: {line}"),
             Err(msg) => {
                 eprintln!("[h2 bench] {msg}");
-                1
+                failed = true;
             }
-        };
+        }
     }
-    i32::from(profile_gate_failed)
+    Ok(i32::from(failed))
 }
 
 #[cfg(test)]
@@ -894,21 +562,20 @@ mod tests {
         BenchArgs::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
 
-    fn doc(kernels: &[(&str, f64, Option<f64>)]) -> Json {
-        let mut ks = Json::obj();
-        for (name, eps, allocs) in kernels {
-            let allocs_field = match allocs {
-                Some(a) => Json::F64(*a),
-                None => Json::Null,
-            };
-            ks = ks.field(
-                name,
-                Json::obj()
-                    .field("events_per_sec", *eps)
-                    .field("allocs_per_event", allocs_field),
-            );
-        }
-        Json::obj().field("schema", 2u64).field("kernels", ks)
+    fn doc(eps: f64, allocs: Option<f64>) -> Json {
+        let allocs_field = match allocs {
+            Some(a) => Json::F64(a),
+            None => Json::Null,
+        };
+        let section = Json::obj()
+            .field("events_per_sec", eps)
+            .field("allocs_per_event", allocs_field);
+        Json::obj().field("schema", 2u64).field("kernels", Json::obj().field(SECTION, section))
+    }
+
+    /// A per-test scratch file path under the system temp directory.
+    fn scratch(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("h2-hotbench-{}-{name}", std::process::id()))
     }
 
     #[test]
@@ -917,43 +584,6 @@ mod tests {
         let a = parse(&["--gate", "--iters", "40"]).unwrap();
         assert!(a.gate);
         assert_eq!(a.iters, 40);
-        assert_eq!(a.selected().len(), KERNELS.len());
-    }
-
-    #[test]
-    fn kernel_selection() {
-        let a = parse(&["--kernel", "batched"]).unwrap();
-        assert_eq!(a.selected(), vec![("batched", SimKernel::Batched)]);
-        let a = parse(&["--kernel", "scalar,parallel"]).unwrap();
-        assert_eq!(
-            a.selected(),
-            vec![("scalar", SimKernel::Scalar), ("parallel", SimKernel::Parallel)]
-        );
-        // Duplicates collapse; order follows the catalogue, not the flags.
-        let a = parse(&["--kernel", "parallel", "--kernel", "scalar,parallel"]).unwrap();
-        assert_eq!(a.selected().len(), 2);
-        assert!(parse(&["--kernel", "vector"]).unwrap_err().contains("unknown kernel"));
-        assert_eq!(parse(&["--kernel"]).unwrap_err(), "--kernel needs an argument");
-    }
-
-    #[test]
-    fn preset_and_profile_flags() {
-        let a = parse(&["--preset", "multichan", "--profile"]).unwrap();
-        assert_eq!(a.preset, "multichan");
-        assert!(a.profile);
-        assert_eq!(parse(&[]).unwrap().preset, "tiny");
-        assert!(parse(&["--preset", "huge"]).unwrap_err().contains("unknown preset"));
-        assert_eq!(parse(&["--preset"]).unwrap_err(), "--preset needs an argument");
-        // The committed baseline records the tiny preset only.
-        assert!(parse(&["--preset", "multichan", "--gate"])
-            .unwrap_err()
-            .contains("cannot be gated"));
-        assert!(parse(&["--preset", "multichan", "--baseline"])
-            .unwrap_err()
-            .contains("cannot be gated"));
-        assert_eq!(results_file("tiny"), RESULTS_FILE);
-        assert_eq!(results_file("multichan"), RESULTS_FILE_MULTICHAN);
-        assert_eq!(bench_name("multichan"), "full_system_multichan_c1_150k_traced");
     }
 
     #[test]
@@ -975,66 +605,50 @@ mod tests {
     }
 
     #[test]
-    fn gate_compares_like_for_like() {
-        let base = doc(&[("scalar", 100e6, None), ("batched", 200e6, None)]);
-        let ok = doc(&[("scalar", 95e6, None), ("batched", 190e6, None)]);
-        assert!(gate_verdict(&ok, &base).is_ok());
-        // A batched number that would pass against the scalar baseline must
-        // still fail against its own.
-        let bad = doc(&[("scalar", 95e6, None), ("batched", 150e6, None)]);
-        let msg = gate_verdict(&bad, &base).unwrap_err();
-        assert!(msg.contains("batched"), "{msg}");
-        // Kernels absent from the baseline are skipped, not failed.
-        let extra = doc(&[("scalar", 95e6, None), ("parallel", 1e6, None)]);
-        assert!(gate_verdict(&extra, &base).is_ok());
+    fn gate_compares_against_the_baseline() {
+        let base = doc(100e6, None);
+        assert!(gate_verdict(&doc(95e6, None), &base).is_ok());
+        let msg = gate_verdict(&doc(85e6, None), &base).unwrap_err();
+        assert!(msg.contains("regression"), "{msg}");
     }
 
     #[test]
-    fn gate_reads_legacy_schema1_baseline_for_scalar() {
-        let base = Json::obj().field("events_per_sec", 100e6);
-        let ok = doc(&[("scalar", 95e6, None)]);
-        assert!(gate_verdict(&ok, &base).is_ok());
-        let bad = doc(&[("scalar", 80e6, None)]);
-        assert!(gate_verdict(&bad, &base).is_err());
-        // A batched-only run has nothing to compare against schema 1.
-        let none = doc(&[("batched", 500e6, None)]);
-        assert!(gate_verdict(&none, &base).is_err());
+    fn gate_fails_on_a_baseline_without_numbers() {
+        let empty = Json::obj().field("schema", 2u64);
+        let msg = gate_verdict(&doc(95e6, None), &empty).unwrap_err();
+        assert!(msg.contains("baseline has no"), "{msg}");
     }
 
     #[test]
-    fn gate_enforces_zero_allocation_on_sequential_kernels() {
-        let base = doc(&[("batched", 100e6, None), ("parallel", 50e6, None)]);
-        let ok = doc(&[("batched", 100e6, Some(0.0)), ("parallel", 50e6, Some(0.03))]);
-        assert!(gate_verdict(&ok, &base).is_ok());
-        let bad = doc(&[("batched", 100e6, Some(0.5)), ("parallel", 50e6, Some(0.03))]);
-        let msg = gate_verdict(&bad, &base).unwrap_err();
+    fn gate_enforces_zero_allocation() {
+        let base = doc(100e6, None);
+        assert!(gate_verdict(&doc(100e6, Some(0.0)), &base).is_ok());
+        let msg = gate_verdict(&doc(100e6, Some(0.5)), &base).unwrap_err();
         assert!(msg.contains("allocates"), "{msg}");
     }
 
     #[test]
-    fn gate_holds_parallel_kernel_to_its_pooled_budget() {
-        let base = doc(&[("parallel", 50e6, None)]);
-        // Under the 0.05 budget: the pooled-messaging steady state.
-        let ok = doc(&[("parallel", 50e6, Some(0.04))]);
-        assert!(gate_verdict(&ok, &base).is_ok());
-        // A return to per-message allocation (the pre-pooling ~0.8) fails,
-        // even while throughput is within tolerance.
-        let bad = doc(&[("parallel", 50e6, Some(0.8))]);
-        let msg = gate_verdict(&bad, &base).unwrap_err();
-        assert!(msg.contains("parallel") && msg.contains("allocates"), "{msg}");
-    }
+    fn gate_fails_when_the_baseline_file_is_missing_or_unreadable() {
+        let missing = scratch("no-such-baseline.json");
+        let msg = gate_against_file(&doc(95e6, None), &missing).unwrap_err();
+        assert!(msg.contains(&missing.display().to_string()), "{msg}");
 
-    #[test]
-    fn gate_enforces_speedup_bar_against_seed_reference() {
-        let base = doc(&[("batched", 92e6, None)])
-            .field("reference", Json::obj().field("seed_scalar_events_per_sec", 60e6));
-        let ok = doc(&[("batched", 95e6, None)]);
-        assert!(gate_verdict(&ok, &base).is_ok(), "95/60 clears 1.5x");
-        // Within the 10% tolerance of its own baseline (89/92), but short
-        // of the 1.5x seed-reference bar (89/60 = 1.48x).
-        let bad = doc(&[("batched", 89e6, None)]);
-        let msg = gate_verdict(&bad, &base).unwrap_err();
-        assert!(msg.contains("speedup"), "{msg}");
+        let garbage = scratch("garbage-baseline.json");
+        std::fs::write(&garbage, "{ not json").unwrap();
+        let msg = gate_against_file(&doc(95e6, None), &garbage).unwrap_err();
+        assert!(msg.contains(&garbage.display().to_string()), "{msg}");
+
+        let empty = scratch("empty-baseline.json");
+        std::fs::write(&empty, "{}").unwrap();
+        let msg = gate_against_file(&doc(95e6, None), &empty).unwrap_err();
+        assert!(msg.contains(&empty.display().to_string()), "{msg}");
+
+        let good = scratch("good-baseline.json");
+        std::fs::write(&good, doc(100e6, None).to_string_pretty()).unwrap();
+        assert!(gate_against_file(&doc(95e6, None), &good).is_ok());
+        for p in [garbage, empty, good] {
+            let _ = std::fs::remove_file(p);
+        }
     }
 
     #[test]
@@ -1063,42 +677,32 @@ mod tests {
 
     #[test]
     fn results_json_shape() {
-        let sections = vec![
-            KernelSection {
-                name: "scalar",
-                m: Measured { ns: vec![100, 200, 300], events_per_iter: 1000 },
-                allocs: Some(0.25),
-            },
-            KernelSection {
-                name: "batched",
-                m: Measured { ns: vec![50, 60, 70], events_per_iter: 1000 },
-                allocs: None,
-            },
-        ];
-        let j = results_json("tiny", 3, &sections);
-        let s = j.to_string_compact();
-        assert!(s.contains(r#""schema":2"#), "{s}");
-        assert!(s.contains(r#""scalar":{"ns_best":100"#), "{s}");
-        assert!(s.contains(r#""batched":{"ns_best":50"#), "{s}");
-        assert!(s.contains(r#""allocs_per_event":0.25"#), "{s}");
-        assert!(s.contains(r#""allocs_per_event":null"#), "{s}");
-        assert_eq!(kernel_eps(&j, "scalar"), Some(1000.0 * 1e9 / 100.0));
-        assert_eq!(kernel_allocs(&j, "scalar"), Some(0.25));
-        assert_eq!(kernel_allocs(&j, "batched"), None);
+        let s = Section {
+            m: Measured { ns: vec![100, 200, 300], events_per_iter: 1000 },
+            allocs: Some(0.25),
+        };
+        let j = results_json(3, &s);
+        let text = j.to_string_compact();
+        assert!(text.contains(r#""schema":2"#), "{text}");
+        assert!(text.contains(r#""scalar":{"ns_best":100"#), "{text}");
+        assert!(text.contains(r#""allocs_per_event":0.25"#), "{text}");
+        assert_eq!(section_f64(&j, "events_per_sec"), Some(1000.0 * 1e9 / 100.0));
+        assert_eq!(section_f64(&j, "allocs_per_event"), Some(0.25));
+        let unmeasured = Section { allocs: None, ..s };
+        let text = unmeasured.json().to_string_compact();
+        assert!(text.contains(r#""allocs_per_event":null"#), "{text}");
     }
 
     #[test]
     fn results_json_refuses_unsupported_percentile_labels() {
-        let two = KernelSection {
-            name: "parallel",
+        let two = Section {
             m: Measured { ns: vec![100, 200], events_per_iter: 1000 },
             allocs: None,
         };
         let s = two.json().to_string_compact();
         assert!(s.contains(r#""ns_p50":"#), "{s}");
         assert!(!s.contains("ns_p99"), "2 iters cannot support a p99 label: {s}");
-        let one = KernelSection {
-            name: "parallel",
+        let one = Section {
             m: Measured { ns: vec![100], events_per_iter: 1000 },
             allocs: None,
         };
@@ -1108,14 +712,12 @@ mod tests {
     }
 
     #[test]
-    fn new_flags_parse_and_conflict() {
+    fn profile_flags_parse_and_conflict() {
         let a = parse(&["--profile-out", "profiles"]).unwrap();
         assert_eq!(a.profile_out.as_deref(), Some("profiles"));
         assert!(a.profile, "--profile-out implies --profile");
         let a = parse(&["--profile-snapshot"]).unwrap();
         assert!(a.profile_snapshot && a.profile);
-        let a = parse(&["--adopt-parallel", "cand.json"]).unwrap();
-        assert_eq!(a.adopt_parallel.as_deref(), Some("cand.json"));
         assert_eq!(
             parse(&["--profile-out"]).unwrap_err(),
             "--profile-out needs a directory argument"
@@ -1123,45 +725,11 @@ mod tests {
         assert!(parse(&["--gate", "--profile-snapshot"])
             .unwrap_err()
             .contains("mutually exclusive"));
-        assert!(parse(&["--adopt-parallel", "c.json", "--gate"])
-            .unwrap_err()
-            .contains("standalone"));
-        assert!(parse(&["--preset", "multichan", "--profile-snapshot"])
-            .unwrap_err()
-            .contains("cannot be gated"));
-    }
-
-    #[test]
-    fn adopt_parallel_merges_only_the_parallel_section() {
-        let baseline = doc(&[("scalar", 100e6, Some(0.01)), ("batched", 200e6, Some(0.01))])
-            .field("reference", Json::obj().field("seed_scalar_events_per_sec", 60e6));
-        let candidate = doc(&[("scalar", 999e6, None), ("parallel", 50e6, Some(0.03))])
-            .field("bench", "full_system_tiny_c1_150k_traced");
-        let merged = adopt_parallel_section(&baseline, &candidate).unwrap();
-        // Parallel arrives from the candidate; the sequential kernels and
-        // the seed reference stay exactly as committed.
-        assert_eq!(kernel_eps(&merged, "parallel"), Some(50e6));
-        assert_eq!(kernel_allocs(&merged, "parallel"), Some(0.03));
-        assert_eq!(kernel_eps(&merged, "scalar"), Some(100e6));
-        assert!(merged.get("reference").is_some());
-        assert_eq!(
-            merged.get("parallel_adopted_from").and_then(Json::as_str),
-            Some("full_system_tiny_c1_150k_traced")
-        );
-        // Re-adoption replaces the section instead of shadowing it.
-        let candidate2 = doc(&[("parallel", 70e6, None)]).field("bench", "x");
-        let merged2 = adopt_parallel_section(&merged, &candidate2).unwrap();
-        assert_eq!(kernel_eps(&merged2, "parallel"), Some(70e6));
-        assert!(!merged2.to_string_compact().contains("50000000"), "old section must be gone");
-        // A candidate without a parallel section is an error, not a no-op.
-        let empty = doc(&[("scalar", 1e6, None)]);
-        assert!(adopt_parallel_section(&baseline, &empty).is_err());
     }
 
     fn leaf(name: &str, excl: u64) -> prof::ProfNode {
         prof::ProfNode {
             name: name.into(),
-            idx: None,
             count: 1,
             incl_ns: excl,
             excl_ns: excl,
@@ -1173,8 +741,7 @@ mod tests {
     #[test]
     fn profile_share_sums_label_occurrences_across_the_tree() {
         let root = prof::ProfNode {
-            name: "run.sim".into(),
-            idx: None,
+            name: "run.scalar".into(),
             count: 1,
             incl_ns: 1000,
             excl_ns: 100,
@@ -1183,7 +750,6 @@ mod tests {
                 leaf("hmc.access", 300),
                 prof::ProfNode {
                     name: "dispatch.mem_done".into(),
-                    idx: None,
                     count: 1,
                     incl_ns: 600,
                     excl_ns: 500,
@@ -1200,16 +766,47 @@ mod tests {
 
     #[test]
     fn share_verdict_gates_relative_growth() {
-        let snap = snapshot_json("tiny", &[("scalar", 0.08), ("batched", 0.07)]);
-        let bench = bench_name("tiny");
+        let snap = snapshot_json(0.08);
         // Within tolerance (and shrinking) passes with a report line.
-        assert!(share_verdict("scalar", bench, 0.06, &snap).unwrap().is_some());
-        assert!(share_verdict("scalar", bench, 0.085, &snap).unwrap().is_some());
+        assert!(share_verdict(BENCH_NAME, 0.06, &snap).is_ok());
+        assert!(share_verdict(BENCH_NAME, 0.085, &snap).is_ok());
         // >10% relative growth fails.
-        let msg = share_verdict("scalar", bench, 0.09, &snap).unwrap_err();
+        let msg = share_verdict(BENCH_NAME, 0.09, &snap).unwrap_err();
         assert!(msg.contains("profile regression"), "{msg}");
-        // Unknown kernel or a snapshot for a different bench: skip.
-        assert!(share_verdict("parallel", bench, 0.5, &snap).unwrap().is_none());
-        assert!(share_verdict("scalar", "other_bench", 0.5, &snap).unwrap().is_none());
+    }
+
+    #[test]
+    fn share_verdict_fails_when_the_snapshot_lacks_the_loop() {
+        let msg = share_verdict("other_bench", 0.01, &snapshot_json(0.08)).unwrap_err();
+        assert!(msg.contains("other_bench"), "{msg}");
+        let no_share = Json::obj()
+            .field("bench", BENCH_NAME)
+            .field("shares", Json::obj().field("batched", 0.07));
+        let msg = share_verdict(BENCH_NAME, 0.01, &no_share).unwrap_err();
+        assert!(msg.contains("no scalar share"), "{msg}");
+    }
+
+    #[test]
+    fn share_gate_fails_when_the_snapshot_file_is_missing_or_unreadable() {
+        let missing = scratch("no-such-snapshot.json");
+        let msg = share_against_file(0.01, &missing).unwrap_err();
+        assert!(msg.contains(&missing.display().to_string()), "{msg}");
+
+        let garbage = scratch("garbage-snapshot.json");
+        std::fs::write(&garbage, "[1, 2").unwrap();
+        let msg = share_against_file(0.01, &garbage).unwrap_err();
+        assert!(msg.contains(&garbage.display().to_string()), "{msg}");
+
+        let other = scratch("other-bench-snapshot.json");
+        std::fs::write(&other, Json::obj().field("bench", "renamed").to_string_pretty()).unwrap();
+        let msg = share_against_file(0.01, &other).unwrap_err();
+        assert!(msg.contains(&other.display().to_string()), "{msg}");
+
+        let good = scratch("good-snapshot.json");
+        std::fs::write(&good, snapshot_json(0.08).to_string_pretty()).unwrap();
+        assert!(share_against_file(0.01, &good).is_ok());
+        for p in [garbage, other, good] {
+            let _ = std::fs::remove_file(p);
+        }
     }
 }

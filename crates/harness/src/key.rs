@@ -8,18 +8,16 @@
 //! giving a fixed-width `u128` key that is cheap to compare, to use as a
 //! `HashMap` key, and to name on-disk cache entries with.
 //!
-//! Deliberate omissions: [`SystemConfig::engine`] (the two event
-//! engines are proved bit-identical by the differential tests, so flipping
-//! the engine must *hit* the cache, not re-simulate),
-//! [`SystemConfig::kernel`] (the scalar, batched, and parallel dispatch
-//! kernels are likewise proved bit-identical — a run is the same run no
-//! matter which loop drove it), [`SystemConfig::telemetry`],
-//! [`SystemConfig::trace_sample`] (both
-//! are pure observations that never perturb timing — runs differing only
-//! in them are the same run; a traced replay of an untraced cache entry is
-//! handled by the cache's upgrade-on-miss rule, not by the key), and
-//! [`SystemConfig::string_metrics`] (the string and interned telemetry
-//! paths are byte-identical by construction and by the equivalence suite).
+//! Deliberate omissions: [`SystemConfig::telemetry`],
+//! [`SystemConfig::trace_sample`] (both are pure observations that never
+//! perturb timing — runs differing only in them are the same run; a traced
+//! replay of an untraced cache entry is handled by the cache's
+//! upgrade-on-miss rule, not by the key), [`SystemConfig::string_metrics`]
+//! (the string and interned telemetry paths are byte-identical by
+//! construction and by the equivalence suite), and
+//! [`SystemConfig::mask_memo`] (the memo is bit-identical to direct policy
+//! calls). The literal keys pinned by the tests below must never move
+//! without a [`KEY_SCHEMA_VERSION`] bump, or existing run stores go cold.
 
 use h2_system::{Participants, PolicyKind, SystemConfig};
 use h2_trace::{Mix, TenantScenario};
@@ -145,8 +143,8 @@ fn encode_config(e: &mut KeyEncoder, c: &SystemConfig) {
     e.u64(c.warmup_cycles);
     e.u64(c.measure_cycles);
     e.u64(c.seed);
-    // `c.engine`, `c.kernel`, `c.telemetry`, `c.trace_sample` and
-    // `c.string_metrics` intentionally excluded — see module docs.
+    // `c.telemetry`, `c.trace_sample`, `c.string_metrics` and
+    // `c.mask_memo` intentionally excluded — see module docs.
 }
 
 /// The canonical key of one (config, mix, policy, participants, scenario)
@@ -216,24 +214,41 @@ mod tests {
         assert_ne!(key(&c), k0, "measure window");
     }
 
-    #[test]
-    fn engine_choice_does_not_change_the_key() {
-        let mix = Mix::by_name("C1").unwrap();
-        let mut c = SystemConfig::tiny();
-        let k0 = job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None);
-        c.engine = h2_sim_core::EngineKind::Heap;
-        assert_eq!(job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None), k0);
+    fn one_tenant_scenario() -> TenantScenario {
+        TenantScenario {
+            name: "s".into(),
+            seed: 1,
+            tenants: vec![h2_trace::TenantSpec {
+                name: "a".into(),
+                priority: 0,
+                cores: 1,
+                ctxs: 0,
+                cpu: vec!["gcc".into()],
+                gpu: vec![],
+                arrival: h2_trace::Arrival::Steady,
+                start: 0,
+                stop: None,
+                phase_cycles: None,
+            }],
+        }
     }
 
+    /// Literal keys of two fixed jobs. Existing run stores stay warm only
+    /// while these hold; changing one needs a [`KEY_SCHEMA_VERSION`] bump.
     #[test]
-    fn kernel_choice_does_not_change_the_key() {
-        let mix = Mix::by_name("C1").unwrap();
-        let mut c = SystemConfig::tiny();
-        let k0 = job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None);
-        for kernel in [h2_sim_core::SimKernel::Batched, h2_sim_core::SimKernel::Parallel] {
-            c.kernel = kernel;
-            assert_eq!(job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None), k0);
-        }
+    fn pinned_keys_keep_existing_run_stores_warm() {
+        let quick = crate::cache::Job::new(
+            &crate::profile::Profile::Quick.config(),
+            &Mix::by_name("C1").unwrap(),
+            PolicyKind::HydrogenFull,
+        );
+        assert_eq!(quick.key(), 0x9814f590015badb9615f6fd602356af4);
+        let scenario = crate::cache::Job::scenario(
+            &SystemConfig::tiny(),
+            &one_tenant_scenario(),
+            PolicyKind::NoPart,
+        );
+        assert_eq!(scenario.key(), 0xf174d191b718f6fff09074e0ad2f1b09);
     }
 
     #[test]
@@ -267,22 +282,7 @@ mod tests {
     fn scenario_changes_the_key() {
         let mix = Mix::by_name("C1").unwrap();
         let c = SystemConfig::tiny();
-        let sc = TenantScenario {
-            name: "s".into(),
-            seed: 1,
-            tenants: vec![h2_trace::TenantSpec {
-                name: "a".into(),
-                priority: 0,
-                cores: 1,
-                ctxs: 0,
-                cpu: vec!["gcc".into()],
-                gpu: vec![],
-                arrival: h2_trace::Arrival::Steady,
-                start: 0,
-                stop: None,
-                phase_cycles: None,
-            }],
-        };
+        let sc = one_tenant_scenario();
         let k0 = job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None);
         let k1 = job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, Some(&sc));
         assert_ne!(k0, k1);

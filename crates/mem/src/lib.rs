@@ -14,6 +14,6 @@ pub mod device;
 pub mod energy;
 pub mod timing;
 
-pub use device::{ChanOp, ChannelShard, MemCmd, MemDevice, MemStats, SeqStarted, StartedCmd};
+pub use device::{MemCmd, MemDevice, MemStats, StartedCmd};
 pub use energy::{EnergyBreakdown, EnergyParams};
 pub use timing::{DramTiming, TimingPreset};

@@ -11,7 +11,7 @@
 //!
 //! Determinism: iteration order is insertion order, which is fixed by the
 //! (deterministic) collection code path, so serialising a registry yields
-//! byte-identical output across runs and event-queue engines.
+//! byte-identical output across runs.
 
 use std::collections::HashMap;
 

@@ -2,8 +2,8 @@
 //!
 //! The telemetry ([`crate::metrics`]) and tracing ([`crate::trace_span`])
 //! layers attribute *simulated* time. This module attributes *host* time —
-//! the thing you need when asking "why is the parallel kernel 10x slower
-//! than scalar?" — without perturbing simulation results in any way: probes
+//! the thing you need when asking "which layer does a real job spend its
+//! time in?" — without perturbing simulation results in any way: probes
 //! only read the monotonic clock and a process-global allocation counter,
 //! never simulator state.
 //!
@@ -16,7 +16,7 @@
 //! - **Thread-local scope stacks.** [`scope`] returns an RAII guard that
 //!   pushes a frame onto the calling thread's stack and pops it on drop,
 //!   accumulating inclusive nanoseconds, entry counts, and allocation
-//!   deltas into a per-thread tree keyed by `(name, idx)` path. No locks
+//!   deltas into a per-thread tree keyed by scope-name path. No locks
 //!   on the hot path.
 //! - **Graveyard merge.** When a thread exits (or calls [`flush_thread`])
 //!   its tree is folded into a global merged tree under a mutex.
@@ -168,7 +168,6 @@ pub fn armed() -> bool {
 /// fanout is small (a handful of phases per level).
 struct Node {
     name: &'static str,
-    idx: Option<u32>,
     children: Vec<usize>,
     count: u64,
     incl_ns: u64,
@@ -183,7 +182,6 @@ struct Frame {
 
 struct CounterCell {
     name: &'static str,
-    idx: Option<u32>,
     sum: u64,
     samples: u64,
     max: u64,
@@ -202,7 +200,6 @@ impl ThreadProf {
         ThreadProf {
             nodes: vec![Node {
                 name: "",
-                idx: None,
                 children: Vec::new(),
                 count: 0,
                 incl_ns: 0,
@@ -213,21 +210,16 @@ impl ThreadProf {
         }
     }
 
-    fn child_of(&mut self, parent: usize, name: &'static str, idx: Option<u32>) -> usize {
-        if let Some(&c) = self.nodes[parent]
-            .children
-            .iter()
-            .find(|&&c| {
-                let n = &self.nodes[c];
-                n.idx == idx && (std::ptr::eq(n.name, name) || n.name == name)
-            })
-        {
+    fn child_of(&mut self, parent: usize, name: &'static str) -> usize {
+        if let Some(&c) = self.nodes[parent].children.iter().find(|&&c| {
+            let n = &self.nodes[c];
+            std::ptr::eq(n.name, name) || n.name == name
+        }) {
             return c;
         }
         let id = self.nodes.len();
         self.nodes.push(Node {
             name,
-            idx,
             children: Vec::new(),
             count: 0,
             incl_ns: 0,
@@ -242,9 +234,9 @@ impl ThreadProf {
     /// the probe's own cost is thereby charged to the scope being
     /// measured, not smeared into the parent's exclusive ("other")
     /// bucket — which keeps the unattributed slice of a run honest.
-    fn enter(&mut self, name: &'static str, idx: Option<u32>, start_ns: u64) {
+    fn enter(&mut self, name: &'static str, start_ns: u64) {
         let parent = self.stack.last().map_or(0, |f| f.node);
-        let node = self.child_of(parent, name, idx);
+        let node = self.child_of(parent, name);
         self.stack.push(Frame {
             node,
             start_ns,
@@ -258,7 +250,7 @@ impl ThreadProf {
     /// hands off from phase to phase leaves its parent with a truly
     /// empty exclusive bucket — and pays one clock read per boundary
     /// instead of two.
-    fn transition(&mut self, name: &'static str, idx: Option<u32>, t: u64) {
+    fn transition(&mut self, name: &'static str, t: u64) {
         let allocs = probe_allocs();
         if let Some(f) = self.stack.pop() {
             let n = &mut self.nodes[f.node];
@@ -267,7 +259,7 @@ impl ThreadProf {
             n.incl_ns += t.saturating_sub(f.start_ns);
         }
         let parent = self.stack.last().map_or(0, |f| f.node);
-        let node = self.child_of(parent, name, idx);
+        let node = self.child_of(parent, name);
         self.stack.push(Frame {
             node,
             start_ns: t,
@@ -287,22 +279,11 @@ impl ThreadProf {
         n.incl_ns += now_raw().saturating_sub(f.start_ns);
     }
 
-    /// Record a pre-measured interval as a child of the current stack top
-    /// (used where the interval spans a blocking call that RAII cannot
-    /// straddle cleanly, e.g. classified channel-worker waits).
-    fn record(&mut self, name: &'static str, idx: Option<u32>, ns: u64) {
-        let parent = self.stack.last().map_or(0, |f| f.node);
-        let node = self.child_of(parent, name, idx);
-        let n = &mut self.nodes[node];
-        n.count += 1;
-        n.incl_ns += ns;
-    }
-
-    fn count_sample(&mut self, name: &'static str, idx: Option<u32>, value: u64) {
+    fn count_sample(&mut self, name: &'static str, value: u64) {
         if let Some(c) = self
             .counters
             .iter_mut()
-            .find(|c| c.idx == idx && (std::ptr::eq(c.name, name) || c.name == name))
+            .find(|c| std::ptr::eq(c.name, name) || c.name == name)
         {
             c.sum += value;
             c.samples += 1;
@@ -311,7 +292,6 @@ impl ThreadProf {
         }
         self.counters.push(CounterCell {
             name,
-            idx,
             sum: value,
             samples: 1,
             max: value,
@@ -342,7 +322,7 @@ thread_local! {
     static PROF: RefCell<ThreadProf> = RefCell::new(ThreadProf::new());
 }
 
-/// RAII guard returned by [`scope`] / [`scope_idx`]. Popping happens on
+/// RAII guard returned by [`scope`]. Popping happens on
 /// drop; an inactive guard (created while disarmed) is a no-op.
 #[must_use = "a profiler scope ends when its guard drops"]
 pub struct ScopeGuard {
@@ -367,7 +347,7 @@ pub fn scope(name: &'static str) -> ScopeGuard {
         return ScopeGuard { active: false };
     }
     let t0 = now_raw();
-    let _ = PROF.try_with(|p| p.borrow_mut().enter(name, None, t0));
+    let _ = PROF.try_with(|p| p.borrow_mut().enter(name, t0));
     ScopeGuard { active: true }
 }
 
@@ -385,42 +365,9 @@ pub fn handoff(from: ScopeGuard, name: &'static str) -> ScopeGuard {
         return from;
     }
     let t = now_raw();
-    let _ = PROF.try_with(|p| p.borrow_mut().transition(name, None, t));
+    let _ = PROF.try_with(|p| p.borrow_mut().transition(name, t));
     std::mem::forget(from);
     ScopeGuard { active: true }
-}
-
-/// Like [`scope`] but distinguished by an index — one node per `(name,
-/// idx)`, e.g. per channel shard.
-#[inline]
-pub fn scope_idx(name: &'static str, idx: u32) -> ScopeGuard {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return ScopeGuard { active: false };
-    }
-    let t0 = now_raw();
-    let _ = PROF.try_with(|p| p.borrow_mut().enter(name, Some(idx), t0));
-    ScopeGuard { active: true }
-}
-
-/// Record a pre-measured interval under the current scope. The value must
-/// be a difference of two [`clock_raw`] readings — it is converted to
-/// nanoseconds (together with every scope duration) when the report is
-/// built.
-#[inline]
-pub fn record(name: &'static str, ns: u64) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    let _ = PROF.try_with(|p| p.borrow_mut().record(name, None, ns));
-}
-
-/// Indexed variant of [`record`].
-#[inline]
-pub fn record_idx(name: &'static str, idx: u32, ns: u64) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    let _ = PROF.try_with(|p| p.borrow_mut().record(name, Some(idx), ns));
 }
 
 /// Sample a magnitude (e.g. a queue depth). The report shows sum, sample
@@ -430,27 +377,7 @@ pub fn count(name: &'static str, value: u64) {
     if !ENABLED.load(Ordering::Relaxed) {
         return;
     }
-    let _ = PROF.try_with(|p| p.borrow_mut().count_sample(name, None, value));
-}
-
-/// Indexed variant of [`count`].
-#[inline]
-pub fn count_idx(name: &'static str, idx: u32, value: u64) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    let _ = PROF.try_with(|p| p.borrow_mut().count_sample(name, Some(idx), value));
-}
-
-/// Raw profiler clock — for call sites that measure a blocking interval
-/// themselves and feed the difference to [`record`]. The unit is the
-/// profiler's internal one (TSC ticks on x86_64, nanoseconds elsewhere);
-/// reports convert to nanoseconds, so only ever *diff* two readings and
-/// hand the result to [`record`]/[`record_idx`], never mix them with
-/// externally measured nanoseconds.
-#[inline]
-pub fn clock_raw() -> u64 {
-    now_raw()
+    let _ = PROF.try_with(|p| p.borrow_mut().count_sample(name, value));
 }
 
 // ---------------------------------------------------------------------------
@@ -459,7 +386,6 @@ pub fn clock_raw() -> u64 {
 
 struct MergedNode {
     name: String,
-    idx: Option<u32>,
     children: Vec<usize>,
     count: u64,
     incl_ns: u64,
@@ -468,7 +394,6 @@ struct MergedNode {
 
 struct MergedCounter {
     name: String,
-    idx: Option<u32>,
     sum: u64,
     samples: u64,
     max: u64,
@@ -485,7 +410,6 @@ impl Graveyard {
         Graveyard {
             nodes: vec![MergedNode {
                 name: String::new(),
-                idx: None,
                 children: Vec::new(),
                 count: 0,
                 incl_ns: 0,
@@ -496,18 +420,17 @@ impl Graveyard {
         }
     }
 
-    fn child_of(&mut self, parent: usize, name: &str, idx: Option<u32>) -> usize {
+    fn child_of(&mut self, parent: usize, name: &str) -> usize {
         if let Some(&c) = self.nodes[parent]
             .children
             .iter()
-            .find(|&&c| self.nodes[c].idx == idx && self.nodes[c].name == name)
+            .find(|&&c| self.nodes[c].name == name)
         {
             return c;
         }
         let id = self.nodes.len();
         self.nodes.push(MergedNode {
             name: name.to_string(),
-            idx,
             children: Vec::new(),
             count: 0,
             incl_ns: 0,
@@ -519,7 +442,7 @@ impl Graveyard {
 
     fn merge_tree(&mut self, t: &ThreadProf, t_node: usize, g_parent: usize) {
         let src = &t.nodes[t_node];
-        let dst = self.child_of(g_parent, src.name, src.idx);
+        let dst = self.child_of(g_parent, src.name);
         {
             let d = &mut self.nodes[dst];
             d.count += src.count;
@@ -545,7 +468,7 @@ impl Graveyard {
             if let Some(m) = self
                 .counters
                 .iter_mut()
-                .find(|m| m.idx == c.idx && m.name == c.name)
+                .find(|m| m.name == c.name)
             {
                 m.sum += c.sum;
                 m.samples += c.samples;
@@ -553,7 +476,6 @@ impl Graveyard {
             } else {
                 self.counters.push(MergedCounter {
                     name: c.name.to_string(),
-                    idx: c.idx,
                     sum: c.sum,
                     samples: c.samples,
                     max: c.max,
@@ -591,7 +513,7 @@ pub fn flush_thread() {
 
 /// Drop all accumulated data (graveyard + calling thread). Other live
 /// threads' unflushed data is untouched — flush or join them first when
-/// that matters (the parallel kernel joins its workers on shutdown).
+/// that matters.
 pub fn reset() {
     let _ = PROF.try_with(|p| p.borrow_mut().clear());
     if let Ok(mut g) = graveyard().lock() {
@@ -625,10 +547,8 @@ pub fn take_report() -> ProfReport {
 /// One phase in the merged profile tree.
 #[derive(Debug, Clone)]
 pub struct ProfNode {
-    /// Scope name (plus `[idx]` when indexed — see [`ProfNode::label`]).
+    /// Scope name.
     pub name: String,
-    /// Index for `scope_idx` nodes (e.g. channel-shard id).
-    pub idx: Option<u32>,
     /// Times the scope was entered.
     pub count: u64,
     /// Inclusive wall nanoseconds (self + children).
@@ -643,24 +563,16 @@ pub struct ProfNode {
 }
 
 impl ProfNode {
-    /// Display label: `name` or `name[idx]`.
-    pub fn label(&self) -> String {
-        match self.idx {
-            Some(i) => format!("{}[{}]", self.name, i),
-            None => self.name.clone(),
-        }
-    }
-
-    /// Find a direct child by label (tests, assertions).
-    pub fn child(&self, label: &str) -> Option<&ProfNode> {
-        self.children.iter().find(|c| c.label() == label)
+    /// Find a direct child by name (tests, assertions).
+    pub fn child(&self, name: &str) -> Option<&ProfNode> {
+        self.children.iter().find(|c| c.name == name)
     }
 }
 
 /// A sampled-magnitude counter (e.g. deferred-op queue depth).
 #[derive(Debug, Clone)]
 pub struct ProfCounter {
-    /// Counter label (`name` or `name[idx]`).
+    /// Counter name.
     pub name: String,
     /// Sum of all sampled values.
     pub sum: u64,
@@ -708,7 +620,6 @@ impl ProfReport {
             let incl_ns = to_ns(n.incl_ns);
             ProfNode {
                 name: n.name.clone(),
-                idx: n.idx,
                 count: n.count,
                 incl_ns,
                 excl_ns: incl_ns.saturating_sub(child_incl),
@@ -721,10 +632,7 @@ impl ProfReport {
             .counters
             .iter()
             .map(|c| ProfCounter {
-                name: match c.idx {
-                    Some(i) => format!("{}[{}]", c.name, i),
-                    None => c.name.clone(),
-                },
+                name: c.name.clone(),
                 sum: c.sum,
                 samples: c.samples,
                 max: c.max,
@@ -749,9 +657,9 @@ impl ProfReport {
         self.roots.is_empty() && self.counters.is_empty()
     }
 
-    /// Look up a root phase by label.
-    pub fn root(&self, label: &str) -> Option<&ProfNode> {
-        self.roots.iter().find(|r| r.label() == label)
+    /// Look up a root phase by name.
+    pub fn root(&self, name: &str) -> Option<&ProfNode> {
+        self.roots.iter().find(|r| r.name == name)
     }
 
     /// Human-readable tree: inclusive/exclusive milliseconds, exclusive
@@ -764,7 +672,7 @@ impl ProfReport {
             "phase", "incl ms", "excl ms", "excl%", "count", "allocs"
         ));
         fn walk(out: &mut String, n: &ProfNode, depth: usize, total: u64) {
-            let label = format!("{}{}", "  ".repeat(depth), n.label());
+            let label = format!("{}{}", "  ".repeat(depth), n.name);
             out.push_str(&format!(
                 "{:<44} {:>10.3} {:>10.3} {:>5.1}% {:>12} {:>12}\n",
                 label,
@@ -804,7 +712,7 @@ impl ProfReport {
                 children.push(node_json(c));
             }
             Json::obj()
-                .field("name", n.label())
+                .field("name", n.name.clone())
                 .field("count", n.count)
                 .field("incl_ns", n.incl_ns)
                 .field("excl_ns", n.excl_ns)
@@ -841,7 +749,7 @@ impl ProfReport {
     /// clamping) and the flame widths read as wall time.
     pub fn to_folded(&self) -> String {
         fn walk(out: &mut String, stack: &mut Vec<String>, n: &ProfNode) {
-            stack.push(n.label());
+            stack.push(n.name.clone());
             if n.excl_ns > 0 {
                 out.push_str(&stack.join(";"));
                 out.push(' ');
@@ -890,7 +798,6 @@ mod tests {
             let _a = scope("outer");
             let _b = scope("inner");
             count("depth", 5);
-            record("late", 100);
         }
         let r = take_report();
         assert!(r.is_empty(), "disarmed probes must not record");
@@ -911,7 +818,7 @@ mod tests {
                 let _b = scope("inner"); // same path: same node
                 spin(40_000);
             }
-            let _c = scope_idx("shard", 3);
+            let _c = scope("sibling");
         }
         {
             let _d = scope("inner"); // different path: top-level node
@@ -922,7 +829,7 @@ mod tests {
         assert_eq!(outer.count, 1);
         let inner = outer.child("inner").expect("inner child");
         assert_eq!(inner.count, 2, "same-path scopes merge into one node");
-        assert!(outer.child("shard[3]").is_some());
+        assert!(outer.child("sibling").is_some());
         let top_inner = r.root("inner").expect("path-distinct top-level inner");
         assert_eq!(top_inner.count, 1);
     }
@@ -970,7 +877,7 @@ mod tests {
             let _a = scope("root");
             spin(20_000);
             {
-                let _b = scope_idx("shard", 1);
+                let _b = scope("leaf");
                 spin(20_000);
             }
         }
@@ -980,7 +887,7 @@ mod tests {
         let lines: Vec<&str> = folded.lines().collect();
         assert_eq!(lines.len(), 2, "two stacks with exclusive time: {folded:?}");
         assert!(lines[0].starts_with("root "), "got {:?}", lines[0]);
-        assert!(lines[1].starts_with("root;shard[1] "), "got {:?}", lines[1]);
+        assert!(lines[1].starts_with("root;leaf "), "got {:?}", lines[1]);
         for l in &lines {
             let (_, w) = l.rsplit_once(' ').unwrap();
             assert!(w.parse::<u64>().unwrap() > 0, "weights are positive integers");
@@ -1039,39 +946,23 @@ mod tests {
     }
 
     #[test]
-    fn record_and_counters_aggregate() {
+    fn counters_aggregate() {
         let _l = serial();
         reset();
         arm();
         {
-            let _a = scope("shard_loop");
-            record("barrier_wait", 1_000);
-            record("barrier_wait", 2_000);
-            record_idx("stall", 7, 500);
+            let _a = scope("loop");
             count("queue_depth", 4);
             count("queue_depth", 8);
-            count_idx("queue_depth", 2, 10);
+            count("other", 10);
         }
         disarm();
         let r = take_report();
-        let root = r.root("shard_loop").unwrap();
-        let bw = root.child("barrier_wait").unwrap();
-        // Recorded values are raw clock units, scaled to ns at report
-        // time; re-derive the scale (it is stable to well under 1% over
-        // the process lifetime) and allow floor-truncation slack.
-        let close = |got: u64, raw: u64| {
-            let want = raw as f64 * clock::ns_per_raw();
-            (got as f64 - want).abs() <= want * 0.01 + 2.0
-        };
-        assert_eq!(bw.count, 2);
-        assert!(close(bw.incl_ns, 3_000), "barrier_wait = {}", bw.incl_ns);
-        let stall = root.child("stall[7]").unwrap().incl_ns;
-        assert!(close(stall, 500), "stall[7] = {stall}");
         let qd = r.counters.iter().find(|c| c.name == "queue_depth").unwrap();
         assert_eq!((qd.sum, qd.samples, qd.max), (12, 2, 8));
         assert!((qd.mean() - 6.0).abs() < 1e-9);
-        let qd2 = r.counters.iter().find(|c| c.name == "queue_depth[2]").unwrap();
-        assert_eq!((qd2.sum, qd2.samples, qd2.max), (10, 1, 10));
+        let other = r.counters.iter().find(|c| c.name == "other").unwrap();
+        assert_eq!((other.sum, other.samples, other.max), (10, 1, 10));
     }
 
     #[test]
@@ -1080,9 +971,9 @@ mod tests {
         reset();
         arm();
         let handles: Vec<_> = (0..3)
-            .map(|i| {
-                std::thread::spawn(move || {
-                    let _a = scope_idx("worker", i);
+            .map(|_| {
+                std::thread::spawn(|| {
+                    let _a = scope("worker");
                     let _b = scope("busy");
                     spin(10_000);
                     // Thread exit flushes via the thread-local destructor.
@@ -1099,10 +990,9 @@ mod tests {
         disarm();
         let r = take_report();
         assert_eq!(r.threads, 4, "three workers + main");
-        for i in 0..3u32 {
-            let w = r.root(&format!("worker[{i}]")).expect("worker root");
-            assert!(w.child("busy").is_some());
-        }
+        let w = r.root("worker").expect("worker root");
+        assert_eq!(w.count, 3, "same-path scopes from three threads merge");
+        assert_eq!(w.child("busy").expect("busy child").count, 3);
         assert!(r.root("main").is_some());
     }
 

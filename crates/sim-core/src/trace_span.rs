@@ -26,9 +26,9 @@ pub const MAX_SPANS: usize = 1 << 18;
 
 /// Identifier carried by a sampled transaction through the memory system.
 ///
-/// Ids are assigned in event-processing order, which both event-queue
-/// engines execute identically, so the sampled span *set* is deterministic
-/// for a given seed and sample rate.
+/// Ids are assigned in event-processing order, which is deterministic, so
+/// the sampled span *set* is deterministic for a given seed and sample
+/// rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SpanId(pub u64);
 
@@ -329,7 +329,7 @@ impl SpanCollector {
     /// Present the next sampling candidate; returns a fresh [`SpanId`] if
     /// it is selected. Callers must invoke this for every candidate (in
     /// deterministic order) so the counter advances identically across
-    /// engines.
+    /// runs.
     pub fn try_sample(&mut self) -> Option<SpanId> {
         let n = self.sample?;
         if n == 0 {

@@ -11,7 +11,6 @@
 
 pub mod config;
 pub mod frontend;
-mod parallel;
 pub mod policies;
 pub mod report;
 pub mod runner;

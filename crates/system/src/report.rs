@@ -36,8 +36,8 @@ pub struct EpochFrame {
 }
 
 /// Epoch-resolved observability data for one run. Only populated when
-/// [`crate::SystemConfig::telemetry`] is on; fully deterministic (identical
-/// across event-queue engines), so it can be snapshot-tested byte-for-byte.
+/// [`crate::SystemConfig::telemetry`] is on; fully deterministic, so it can
+/// be snapshot-tested byte-for-byte.
 #[derive(Debug, Clone, Default)]
 pub struct RunTelemetry {
     /// Measured-window totals, with per-bank device detail.
@@ -48,7 +48,7 @@ pub struct RunTelemetry {
 
 /// Sampled request spans from one run (see `h2_sim_core::trace_span`).
 /// Only populated when [`crate::SystemConfig::trace_sample`] is set;
-/// deterministic across event-queue engines for a given seed and rate.
+/// deterministic for a given seed and rate.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunTrace {
     /// Configured sample rate (every `sample`-th demand read; 0 = none).

@@ -4,7 +4,7 @@
 //!
 //! All three front-end kinds (synthetic presets, tenant streams, replay
 //! cursors) funnel through [`crate::runner::run_plan_monitored`], so a
-//! captured run replays bit-identically regardless of kernel or engine.
+//! captured run replays bit-identically through the one event loop.
 
 use crate::config::SystemConfig;
 use crate::policies::PolicyKind;

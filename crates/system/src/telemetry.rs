@@ -35,7 +35,7 @@
 //! ```
 //!
 //! Everything serialised here is *deterministic*: identical across repeat
-//! runs and across event-queue engines. Host-dependent fields of
+//! runs. Host-dependent fields of
 //! [`RunReport`] (`wall_s`, `events_per_sec`) are deliberately excluded so
 //! the output can be byte-compared against golden files. Floats use the
 //! canonical shortest-roundtrip form of [`h2_sim_core::json`].
@@ -115,7 +115,7 @@ pub fn telemetry_json(report: &RunReport) -> Option<Json> {
 impl RunReport {
     /// The run's telemetry timeline as canonical pretty-printed JSON
     /// (`None` when telemetry was disabled). Byte-stable across repeat
-    /// runs and event-queue engines — the golden-snapshot format.
+    /// runs — the golden-snapshot format.
     pub fn telemetry_json_string(&self) -> Option<String> {
         telemetry_json(self).map(|j| j.to_string_pretty())
     }

@@ -1,10 +1,13 @@
-//! Differential test of the two event-queue engines: the calendar queue
-//! (production) against the legacy binary heap (oracle). One million mixed-
+//! Differential test of the event queue: the calendar queue the simulator
+//! runs on against the legacy binary heap (oracle). One million mixed-
 //! horizon events are pushed through both with an identical workload; the
-//! popped `(time, seq, payload)` streams must be bit-identical, proving the
-//! calendar engine preserves the exact `(time, seq)` total order.
+//! popped `(time, seq, payload)` streams must be bit-identical, and after
+//! every schedule and every pop the two queues must agree on `peek_time()`,
+//! `len()` and `now()` — proving the calendar queue preserves the exact
+//! `(time, seq)` total order and its observable state.
 
-use hydrogen_repro::sim::{EngineKind, EventQueue, SeededRng};
+use hydrogen_repro::sim::event::legacy::HeapQueue;
+use hydrogen_repro::sim::{EventQueue, SeededRng};
 
 const TOTAL_EVENTS: u64 = 1_000_000;
 
@@ -22,10 +25,17 @@ fn next_delta(rng: &mut SeededRng) -> u64 {
     }
 }
 
+/// The observable queue state both implementations must agree on.
+fn assert_same_state(cal: &EventQueue<u64>, heap: &HeapQueue<u64>, after: &str) {
+    assert_eq!(cal.peek_time(), heap.peek_time(), "peek_time diverged after {after}");
+    assert_eq!(cal.len(), heap.len(), "len diverged after {after}");
+    assert_eq!(cal.now(), heap.now(), "now diverged after {after}");
+}
+
 #[test]
 fn one_million_mixed_horizon_events_are_bit_identical() {
-    let mut cal = EventQueue::with_engine(EngineKind::Calendar);
-    let mut heap = EventQueue::with_engine(EngineKind::Heap);
+    let mut cal = EventQueue::new();
+    let mut heap = HeapQueue::new();
     let mut rng = SeededRng::derive(2024, "diff.schedule");
     let mut pop_rng = SeededRng::derive(2024, "diff.pop");
 
@@ -41,6 +51,7 @@ fn one_million_mixed_horizon_events_are_bit_identical() {
                 cal.schedule_at(t, scheduled);
                 heap.schedule_at(t, scheduled);
                 scheduled += 1;
+                assert_same_state(&cal, &heap, "a schedule");
             }
         }
         let burst = 1 + pop_rng.below(48);
@@ -53,12 +64,13 @@ fn one_million_mixed_horizon_events_are_bit_identical() {
                     assert_eq!(
                         (x.time, x.seq, x.payload),
                         (y.time, y.seq, y.payload),
-                        "engines diverged after {popped} pops"
+                        "queues diverged after {popped} pops"
                     );
                     popped += 1;
                 }
                 (a, b) => panic!("emptiness mismatch after {popped} pops: {a:?} vs {b:?}"),
             }
+            assert_same_state(&cal, &heap, "a pop");
         }
     }
 

@@ -4,8 +4,8 @@
 //! findings (and from the injected-bug acceptance test). Each one pins a
 //! bug that is now fixed: replaying it through the full battery — with
 //! the real harness oracles wired — must come back clean, and stay
-//! byte-deterministic across both event-queue engines (the battery's
-//! engine-differential check proves that on every replay).
+//! byte-deterministic (the battery's monitored-vs-unmonitored differential
+//! proves that on every replay).
 
 use h2_check::{parse_repro, repro_json, run_battery, FuzzCase};
 use h2_harness::fuzz_cli::oracle_hooks;
@@ -26,14 +26,14 @@ fn repro_files() -> Vec<PathBuf> {
 }
 
 #[test]
-fn committed_repros_replay_clean_and_bit_identical_across_engines() {
+fn committed_repros_replay_clean_and_bit_identical() {
     let hooks = oracle_hooks();
     for file in repro_files() {
         let text = fs::read_to_string(&file).unwrap();
         let (case, recorded) = parse_repro(&text)
             .unwrap_or_else(|e| panic!("{file:?} is not a valid repro: {e}"));
-        // The battery includes the calendar-vs-heap engine differential,
-        // so a clean pass certifies cross-engine byte determinism too.
+        // The battery includes the monitored-vs-unmonitored differential,
+        // so a clean pass certifies byte determinism too.
         run_battery(&case, &hooks).unwrap_or_else(|f| {
             panic!(
                 "{file:?} regressed: {} ({}) — originally pinned for {}",

@@ -1,11 +1,10 @@
 //! Golden-snapshot regression tests over the telemetry JSON.
 //!
-//! Each case runs a small end-to-end simulation under *both* event-queue
-//! engines, asserts their telemetry timelines are byte-identical, and then
-//! compares the JSON against a checked-in snapshot in `tests/golden/`. The
-//! snapshots pin the simulator's observable behaviour — instruction counts,
-//! hit rates, queue depths, latency histograms, the hill climber's search
-//! path — so any unintended behavioural change shows up as a diff.
+//! Each case runs a small end-to-end simulation and compares its telemetry
+//! JSON against a checked-in snapshot in `tests/golden/`. The snapshots pin
+//! the simulator's observable behaviour — instruction counts, hit rates,
+//! queue depths, latency histograms, the hill climber's search path — so
+//! any unintended behavioural change shows up as a diff.
 //!
 //! When a change is *intended*, regenerate the snapshots:
 //!
@@ -16,7 +15,7 @@
 //! and commit the updated files alongside the change that caused them.
 
 use hydrogen_repro::prelude::*;
-use hydrogen_repro::sim::{EngineKind, Json, SimKernel};
+use hydrogen_repro::sim::Json;
 use hydrogen_repro::system::run_scenario;
 use hydrogen_repro::trace::TenantScenario;
 use std::fs;
@@ -28,37 +27,12 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.json"))
 }
 
-/// Run `kind` on `mix` under both engines; check the timeline snapshot.
-fn check(name: &str, cfg: &SystemConfig, mix_name: &str, kind: PolicyKind) {
-    let mix = Mix::by_name(mix_name).unwrap();
-
-    let mut cal = cfg.clone();
-    cal.engine = EngineKind::Calendar;
-    let mut heap = cfg.clone();
-    heap.engine = EngineKind::Heap;
-    let got = run_sim(&cal, &mix, kind)
+/// Compare a run's telemetry timeline against its snapshot (or write the
+/// snapshot under `H2_BLESS`).
+fn check_report(name: &str, report: &RunReport) {
+    let got = report
         .telemetry_json_string()
         .expect("telemetry must be enabled for golden runs");
-    let via_heap = run_sim(&heap, &mix, kind)
-        .telemetry_json_string()
-        .expect("telemetry must be enabled for golden runs");
-    assert_eq!(got, via_heap, "{name}: engines must produce identical telemetry");
-
-    // The dispatch kernels must also reproduce the snapshot byte-for-byte:
-    // batching is a pure loop transformation and the channel-parallel
-    // kernel lands every completion at its sequential `(time, seq)` slot.
-    for kernel in [SimKernel::Batched, SimKernel::Parallel] {
-        let mut kcfg = cal.clone();
-        kcfg.kernel = kernel;
-        let via_kernel = run_sim(&kcfg, &mix, kind)
-            .telemetry_json_string()
-            .expect("telemetry must be enabled for golden runs");
-        assert_eq!(
-            got, via_kernel,
-            "{name}: {kernel:?} kernel must produce identical telemetry"
-        );
-    }
-
     let path = golden_path(name);
     if std::env::var_os("H2_BLESS").is_some() {
         fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -80,52 +54,17 @@ fn check(name: &str, cfg: &SystemConfig, mix_name: &str, kind: PolicyKind) {
     );
 }
 
-/// Run a multi-tenant scenario under both engines and the Batched/Parallel
-/// kernels; check the telemetry timeline (which carries the `tenant.*`
-/// metric schema) against a checked-in snapshot, exactly like [`check`].
-fn check_scenario(name: &str, cfg: &SystemConfig, sc: &TenantScenario, kind: PolicyKind) {
-    let mut cal = cfg.clone();
-    cal.engine = EngineKind::Calendar;
-    let mut heap = cfg.clone();
-    heap.engine = EngineKind::Heap;
-    let got = run_scenario(&cal, sc, kind)
-        .telemetry_json_string()
-        .expect("telemetry must be enabled for golden runs");
-    let via_heap = run_scenario(&heap, sc, kind)
-        .telemetry_json_string()
-        .expect("telemetry must be enabled for golden runs");
-    assert_eq!(got, via_heap, "{name}: engines must produce identical telemetry");
-    for kernel in [SimKernel::Batched, SimKernel::Parallel] {
-        let mut kcfg = cal.clone();
-        kcfg.kernel = kernel;
-        let via_kernel = run_scenario(&kcfg, sc, kind)
-            .telemetry_json_string()
-            .expect("telemetry must be enabled for golden runs");
-        assert_eq!(
-            got, via_kernel,
-            "{name}: {kernel:?} kernel must produce identical telemetry"
-        );
-    }
+/// Run `kind` on `mix`; check the timeline snapshot.
+fn check(name: &str, cfg: &SystemConfig, mix_name: &str, kind: PolicyKind) {
+    let mix = Mix::by_name(mix_name).unwrap();
+    check_report(name, &run_sim(cfg, &mix, kind));
+}
 
-    let path = golden_path(name);
-    if std::env::var_os("H2_BLESS").is_some() {
-        fs::create_dir_all(path.parent().unwrap()).unwrap();
-        fs::write(&path, &got).unwrap();
-        return;
-    }
-    let want = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); generate it with \
-             `H2_BLESS=1 cargo test --test golden` and commit the file",
-            path.display()
-        )
-    });
-    assert_eq!(
-        got, want,
-        "{name}: telemetry diverged from {}; if the change is intended, \
-         regenerate with `H2_BLESS=1 cargo test --test golden`",
-        path.display()
-    );
+/// Run a multi-tenant scenario; check the telemetry timeline (which
+/// carries the `tenant.*` metric schema) against a checked-in snapshot,
+/// exactly like [`check`].
+fn check_scenario(name: &str, cfg: &SystemConfig, sc: &TenantScenario, kind: PolicyKind) {
+    check_report(name, &run_scenario(cfg, sc, kind));
 }
 
 /// The Fig 2 motivation setting: the non-partitioned baseline under
@@ -171,12 +110,10 @@ fn golden_fig2_with_profiler_armed_is_byte_identical() {
     prof::arm();
     check("fig2_nopart_c1", &SystemConfig::tiny(), "C1", PolicyKind::NoPart);
     prof::disarm();
-    // `check` ran all three dispatch kernels; the profile must have seen
-    // each of them, proving the probes were really live during the runs.
+    // The profile must have seen the event loop, proving the probes were
+    // really live during the run.
     let report = prof::take_report();
-    for root in ["run.scalar", "run.batched", "run.parallel"] {
-        assert!(report.root(root).is_some(), "armed profile lacks {root}");
-    }
+    assert!(report.root("run.scalar").is_some(), "armed profile lacks run.scalar");
 }
 
 /// The datacenter scenario setting: the committed 3-tenant example

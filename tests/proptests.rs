@@ -12,7 +12,7 @@ use hydrogen_repro::hybrid::types::{HybridConfig, ReqClass};
 use hydrogen_repro::hybrid::RemapTable;
 use hydrogen_repro::hydrogen::partition::PartitionMap;
 use hydrogen_repro::hydrogen::TokenBucket;
-use hydrogen_repro::sim::{EngineKind, EventQueue, SeededRng};
+use hydrogen_repro::sim::{EventQueue, SeededRng};
 
 const CASES: u64 = 64;
 
@@ -458,14 +458,20 @@ fn rng_stream_properties() {
     });
 }
 
-/// For arbitrary schedule/pop interleavings, both event-queue engines emit
-/// the same `(time, seq, payload)` stream, time never runs backwards, and
+/// For arbitrary schedule/pop interleavings, the event queue emits the
+/// same `(time, seq, payload)` stream as a brute-force reference (a flat
+/// list popped by minimum `(time, seq)`), time never runs backwards, and
 /// same-time events pop in schedule (FIFO) order.
 #[test]
 fn event_queue_interleavings_agree() {
     cases("prop.queue", |case, rng| {
-        let mut cal = EventQueue::with_engine(EngineKind::Calendar);
-        let mut heap = EventQueue::with_engine(EngineKind::Heap);
+        let mut q = EventQueue::new();
+        // The reference: every pending `(time, seq, payload)`, unordered.
+        let mut pending: Vec<(u64, u64, u64)> = Vec::new();
+        let pop_ref = |pending: &mut Vec<(u64, u64, u64)>| {
+            let i = (0..pending.len()).min_by_key(|&i| (pending[i].0, pending[i].1))?;
+            Some(pending.swap_remove(i))
+        };
         let mut payload = 0u64;
         let mut last: Option<(u64, u64)> = None;
         let steps = 50 + rng.below(400);
@@ -473,50 +479,36 @@ fn event_queue_interleavings_agree() {
             if rng.chance(0.6) {
                 // Schedule: mostly near-horizon, sometimes far (overflow),
                 // sometimes an exact tie with `now`.
-                let now = cal.now();
+                let now = q.now();
                 let delta = match rng.below(10) {
                     0 => 0,
                     1..=2 => rng.below(1 << 20), // far: overflow path
                     _ => rng.below(5000),        // near: wheel path
                 };
-                cal.schedule_at(now + delta, payload);
-                heap.schedule_at(now + delta, payload);
+                q.schedule_at(now + delta, payload);
+                pending.push((now + delta, payload, payload));
                 payload += 1;
             } else {
-                let a = cal.pop();
-                let b = heap.pop();
-                match (a, b) {
-                    (None, None) => {}
-                    (Some(x), Some(y)) => {
-                        assert_eq!(
-                            (x.time, x.seq, x.payload),
-                            (y.time, y.seq, y.payload),
-                            "case {case}: engines diverge"
-                        );
-                        if let Some((t, s)) = last {
-                            assert!(x.time >= t, "case {case}: time ran backwards");
-                            if x.time == t {
-                                assert!(x.seq > s, "case {case}: FIFO tie order broken");
-                            }
+                let got = q.pop().map(|e| (e.time, e.seq, e.payload));
+                assert_eq!(got, pop_ref(&mut pending), "case {case}: queue diverges from reference");
+                if let Some((t, s, _)) = got {
+                    if let Some((lt, ls)) = last {
+                        assert!(t >= lt, "case {case}: time ran backwards");
+                        if t == lt {
+                            assert!(s > ls, "case {case}: FIFO tie order broken");
                         }
-                        last = Some((x.time, x.seq));
                     }
-                    _ => panic!("case {case}: one engine empty, the other not"),
+                    last = Some((t, s));
                 }
             }
+            assert_eq!(q.len(), pending.len(), "case {case}: pending count diverges");
         }
         // Drain what's left; the streams must stay identical to the end.
         loop {
-            match (cal.pop(), heap.pop()) {
-                (None, None) => break,
-                (Some(x), Some(y)) => {
-                    assert_eq!(
-                        (x.time, x.seq, x.payload),
-                        (y.time, y.seq, y.payload),
-                        "case {case}: engines diverge in drain"
-                    );
-                }
-                _ => panic!("case {case}: drain length mismatch"),
+            let got = q.pop().map(|e| (e.time, e.seq, e.payload));
+            assert_eq!(got, pop_ref(&mut pending), "case {case}: queue diverges in drain");
+            if got.is_none() {
+                break;
             }
         }
     });

@@ -12,7 +12,7 @@
 
 use h2_check::{check_partition, diff_reports, permute_tenants, sample_scenario};
 use h2_sim_core::trace_span::tiles_exactly;
-use h2_sim_core::{EngineKind, Json, LogHistogram};
+use h2_sim_core::{Json, LogHistogram};
 use h2_system::report::METRIC_NAMES;
 use h2_system::{run_scenario, PolicyKind, RunReport, SystemConfig};
 use h2_trace::{Arrival, TenantScenario, TenantSpec};
@@ -156,20 +156,12 @@ fn tenant_permutation_preserves_partition_and_tenant_set() {
 }
 
 #[test]
-fn partition_holds_for_sampled_scenarios_on_both_engines() {
+fn partition_holds_for_sampled_scenarios() {
     for seed in 0..6 {
         let sc = sample_scenario(seed);
-        let cfg = short_cfg(seed + 100);
-        let a = run_scenario(&cfg, &sc, PolicyKind::NoPart);
-        check_partition(&a).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        let mut heap = cfg.clone();
-        heap.engine = EngineKind::Heap;
-        let b = run_scenario(&heap, &sc, PolicyKind::NoPart);
-        assert_eq!(
-            diff_reports(&a, &b),
-            None,
-            "seed {seed}: engines diverged on a tagged run"
-        );
+        let r = run_scenario(&short_cfg(seed + 100), &sc, PolicyKind::NoPart);
+        check_partition(&r).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert_exact_partition(&r);
     }
 }
 
