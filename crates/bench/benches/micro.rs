@@ -1,7 +1,8 @@
 //! Microbenchmarks of the simulator's hot paths: the event queue (calendar
 //! queue vs the legacy heap oracle, several depths and horizons), run-cache
-//! job-key hashing, the DRAM device scheduler, the remap table, rendezvous
-//! hashing, trace generation, and a short whole-system run.
+//! job-key hashing, the DRAM device scheduler (one command and ~450
+//! commands deep), the remap table, rendezvous hashing, trace generation,
+//! and a short whole-system run.
 //!
 //! `cargo bench --bench micro` times everything; `-- --test` smoke-runs
 //! each once; a plain argument filters by substring (e.g. `-- queue`).
@@ -11,12 +12,15 @@ use h2_harness::cache::Job;
 use h2_hybrid::remap::RemapTable;
 use h2_hybrid::types::{HybridConfig, ReqClass};
 use h2_hydrogen::partition::PartitionMap;
+use h2_mem::device::PIPELINE_DEPTH;
 use h2_mem::{MemCmd, MemDevice, TimingPreset};
 use h2_sim_core::event::legacy::HeapQueue;
 use h2_sim_core::EventQueue;
 use h2_system::{run_sim, PolicyKind, SystemConfig};
 use h2_trace::workloads;
 use h2_trace::Mix;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::hint::black_box;
 
 /// The two queues the event-queue benches compare: the calendar queue the
@@ -141,6 +145,48 @@ fn bench_dram_device(b: &mut Bench) {
     });
 }
 
+/// Pending commands held on the deep-queue bench's channel, about the
+/// fast tier's peak depth on a quick-profile C5 job.
+const DEEP_QUEUE: u64 = 450;
+
+/// One HBM channel holding ~[`DEEP_QUEUE`] mixed-priority commands in
+/// steady state: each step retires the earliest in-flight command, enqueues
+/// a replacement and pumps, so every pick sees a deep queue.
+fn bench_dram_deep_queue(b: &mut Bench) {
+    let timing = TimingPreset::Hbm2eSuper.timing();
+    let (banks, row_bytes) = (timing.banks_per_channel as u64, timing.row_bytes);
+    let mut d = MemDevice::new(timing, 1);
+    let mut inflight = BinaryHeap::new();
+    let mut out = Vec::new();
+    let mut i = 0u64;
+    let mut cmd = move || {
+        i += 1;
+        let r = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16;
+        MemCmd {
+            addr: ((r % 8) * banks + (r >> 8) % banks) * row_bytes + (r >> 16) % row_bytes,
+            bytes: 64,
+            is_write: r.is_multiple_of(3),
+            priority: (r >> 24) as u8 % 3,
+            token: i,
+        }
+    };
+    for _ in 0..DEEP_QUEUE + PIPELINE_DEPTH as u64 {
+        d.enqueue(0, cmd(), 0);
+    }
+    d.pump(0, 0, &mut out);
+    inflight.extend(out.drain(..).map(|s| Reverse(s.done_at)));
+    b.bench("dram_channel_deep_queue", move || {
+        for _ in 0..64 {
+            let Reverse(now) = inflight.pop().expect("the pipeline stays full");
+            d.on_complete(0);
+            d.enqueue(0, cmd(), now);
+            d.pump(0, now, &mut out);
+            inflight.extend(out.drain(..).map(|s| Reverse(s.done_at)));
+        }
+        black_box(d.stats().bytes)
+    });
+}
+
 fn bench_remap_table(b: &mut Bench) {
     let cfg = HybridConfig::default();
     let mut t = RemapTable::new(&cfg);
@@ -229,6 +275,7 @@ fn main() {
     bench_event_queue(&mut b);
     bench_job_key(&mut b);
     bench_dram_device(&mut b);
+    bench_dram_deep_queue(&mut b);
     bench_remap_table(&mut b);
     bench_partition_map(&mut b);
     bench_trace_gen(&mut b);

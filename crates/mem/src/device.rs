@@ -17,19 +17,22 @@
 //!
 //! # Pending-command layout
 //!
-//! Queued commands live in a per-channel structure-of-arrays slab
-//! ([`CmdSlab`]): the fields the FR-FCFS scan reads every [`MemDevice::pump`]
-//! (priority, arrival time, arrival sequence) sit in their own dense arrays,
-//! while decode-only fields (bank/row — precomputed once at enqueue — bytes,
-//! token, tracing context) are touched only when a command actually starts.
-//! Slot occupancy is a two-level bitmap (per-slot words plus a summary word
-//! per 64 slot-words, the calendar queue's template), and freed slots are
-//! reused lowest-index-first, so steady state never allocates and never
-//! moves a pending command. A per-slot row-hit bitmap is maintained
-//! incrementally through per-bank slot bitmaps: the scan itself is a
-//! conditional-move max over packed `(priority, row_hit, age)` keys with no
-//! per-candidate address math. Selection is key-based — slot order never
-//! influences which command wins.
+//! Queued commands live in a per-channel ring ([`CmdSlab`]) in arrival
+//! order: a command's slot is its channel-local arrival number modulo a
+//! power-of-two capacity, so circular slot order from the oldest queued
+//! command is age order. The ring doubles only when the newest arrival
+//! would wrap onto the oldest queued command; steady state never allocates
+//! and never moves a pending command. The two fields the scheduler scans
+//! (arrival time and row, precomputed with the bank once at enqueue) sit in
+//! their own arrays; the rest of a command is one record, read when it is
+//! queued, started or moved by growth. Beside the occupancy bitmap sit a
+//! row-hit bitmap, maintained incrementally through per-bank slot bitmaps,
+//! and one slot bitmap per priority value. The FR-FCFS pick is then a few
+//! first-set-bit searches in circular order instead of a scan of every
+//! queued key: arrival times never decrease along the ring, so the
+//! commands escalated by [`AGE_CAP`] are its oldest prefix (see
+//! `CmdSlab::pick`). The pick is exact: keys are unique, so slot order
+//! never influences which command wins.
 
 use crate::energy::EnergyBreakdown;
 use crate::timing::DramTiming;
@@ -139,160 +142,330 @@ struct TracedInfo {
     ahead: [u64; 3],
 }
 
-/// Structure-of-arrays slab of one channel's pending commands.
+/// A queued command's fields other than the arrival time and row the
+/// scheduler scans: read when it is queued, started or moved by growth.
+#[derive(Debug, Clone, Copy, Default)]
+struct Queued {
+    /// Channel-local arrival number (`num % capacity` is the slot).
+    num: u64,
+    token: u64,
+    bank: u32,
+    bytes: u32,
+    /// Index into [`CmdSlab::prios`] of the command's priority.
+    pclass: u8,
+    write: bool,
+    class: BlameClass,
+    trace: Option<TracedInfo>,
+}
+
+/// One channel's pending commands: a ring in arrival order.
 ///
-/// Capacity is always a multiple of 64; a slot is queued iff its `occ` bit
-/// is set. `summary` has one bit per `occ` word (so the scan skips runs of
-/// empty slots the way the calendar queue skips empty wheel slots), `hit`
-/// mirrors `occ` with the slot's current row-hit status, and `bank_slots`
-/// holds one slot-bitmap per bank so `hit` can be refreshed incrementally
-/// whenever a bank's open row changes.
-#[derive(Debug, Default)]
+/// A command's slot is its channel-local arrival number modulo the
+/// capacity, a power of two and a multiple of 64. Pending commands hold the
+/// arrival numbers `head..next`, so circular slot order from the head slot
+/// is age order. A slot is queued iff its `occ` bit is set; `hit` mirrors
+/// `occ` with the slot's current row-hit status, `bank_slots` holds one
+/// slot bitmap per bank (so `hit` is refreshed incrementally whenever a
+/// bank's open row changes), and `prio_slots` one per priority value seen
+/// on this channel. Bitmap families are flat `rows × words` vectors.
+#[derive(Debug)]
 struct CmdSlab {
-    // Hot scan arrays (read for every queued candidate every pick).
-    prio: Vec<u8>,
+    // Per-slot arrays scanned by `pick` and `rehit_bank`.
     arrival_time: Vec<Cycles>,
-    arrival_seq: Vec<u64>,
-    // Decode arrays (read once, when a command starts).
-    bank: Vec<u32>,
     row: Vec<u64>,
-    bytes: Vec<u32>,
-    write: Vec<bool>,
-    token: Vec<u64>,
-    class: Vec<BlameClass>,
-    trace: Vec<Option<TracedInfo>>,
+    /// Everything else about each slot's command.
+    cmds: Vec<Queued>,
     /// Slot occupancy, one bit per slot.
     occ: Vec<u64>,
-    /// One bit per `occ` word: word has at least one queued slot.
-    summary: Vec<u64>,
     /// Row-hit status per slot (`hit ⊆ occ`).
     hit: Vec<u64>,
-    /// Per-bank slot bitmaps (`bank_slots[b] ⊆ occ`).
-    bank_slots: Vec<Vec<u64>>,
+    /// Per-bank slot bitmaps, `banks × words` (their union is `occ`).
+    bank_slots: Vec<u64>,
+    /// Per-priority slot bitmaps, `prios.len() × words` (union is `occ`).
+    prio_slots: Vec<u64>,
+    /// Priority value of each `prio_slots` row, in order of first use.
+    prios: Vec<u8>,
+    /// Queued commands per `prios` row.
+    prio_len: Vec<usize>,
+    banks: usize,
+    /// Arrival number of the oldest queued command (`next` when empty).
+    head: u64,
+    /// Arrival number the next enqueue receives.
+    next: u64,
+    /// Arrival time of the latest enqueue (never decreases).
+    last_arrival: Cycles,
     /// Queued commands (population count of `occ`).
     len: usize,
 }
 
 impl CmdSlab {
     fn new(banks: usize) -> Self {
-        let mut s = Self {
-            bank_slots: vec![Vec::new(); banks],
-            ..Self::default()
-        };
-        s.grow();
-        s
+        let cap = 64;
+        Self {
+            arrival_time: vec![0; cap],
+            row: vec![0; cap],
+            cmds: vec![Queued::default(); cap],
+            occ: vec![0; 1],
+            hit: vec![0; 1],
+            bank_slots: vec![0; banks],
+            prio_slots: Vec::new(),
+            prios: Vec::new(),
+            prio_len: Vec::new(),
+            banks,
+            head: 0,
+            next: 0,
+            last_arrival: 0,
+            len: 0,
+        }
     }
 
-    /// Add one 64-slot word to every array. Called at construction and on
-    /// overflow; steady state never grows.
+    #[inline]
+    fn words(&self) -> usize {
+        self.occ.len()
+    }
+
+    #[inline]
+    fn mask(&self) -> usize {
+        self.occ.len() * 64 - 1
+    }
+
+    /// Arrival number and slot of the next arrival, doubling the ring
+    /// first if that arrival would wrap onto the oldest queued command.
+    #[inline]
+    fn alloc_slot(&mut self) -> (u64, usize) {
+        if self.next - self.head > self.mask() as u64 {
+            self.grow();
+        }
+        let num = self.next;
+        self.next += 1;
+        (num, num as usize & self.mask())
+    }
+
+    /// Double the capacity, moving each queued command to its arrival
+    /// number modulo the new capacity (its old slot or that plus the old
+    /// capacity) and rebuilding the bitmaps. A fixed handful of
+    /// allocations per doubling; steady state never grows.
+    #[cold]
     fn grow(&mut self) {
-        let add = 64;
-        self.prio.resize(self.prio.len() + add, 0);
-        self.arrival_time.resize(self.arrival_time.len() + add, 0);
-        self.arrival_seq.resize(self.arrival_seq.len() + add, 0);
-        self.bank.resize(self.bank.len() + add, 0);
-        self.row.resize(self.row.len() + add, 0);
-        self.bytes.resize(self.bytes.len() + add, 0);
-        self.write.resize(self.write.len() + add, false);
-        self.token.resize(self.token.len() + add, 0);
-        self.class.resize(self.class.len() + add, BlameClass::Background);
-        self.trace.resize(self.trace.len() + add, None);
-        self.occ.push(0);
-        self.hit.push(0);
-        for b in &mut self.bank_slots {
-            b.push(0);
-        }
-        if self.occ.len().div_ceil(64) > self.summary.len() {
-            self.summary.push(0);
-        }
-    }
-
-    /// Lowest free slot index, growing the slab when full.
-    fn alloc_slot(&mut self) -> usize {
-        for (w, &word) in self.occ.iter().enumerate() {
-            if word != u64::MAX {
-                return w * 64 + (!word).trailing_zeros() as usize;
+        let words = self.words() * 2;
+        let cap = words * 64;
+        self.arrival_time.resize(cap, 0);
+        self.row.resize(cap, 0);
+        self.cmds.resize(cap, Queued::default());
+        let occ = std::mem::replace(&mut self.occ, vec![0; words]);
+        let hit = std::mem::replace(&mut self.hit, vec![0; words]);
+        self.bank_slots = vec![0; self.banks * words];
+        self.prio_slots = vec![0; self.prios.len() * words];
+        for (w, &word) in occ.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let from = w * 64 + b;
+                let to = self.cmds[from].num as usize & (cap - 1);
+                if to != from {
+                    self.arrival_time[to] = self.arrival_time[from];
+                    self.row[to] = self.row[from];
+                    self.cmds[to] = self.cmds[from];
+                }
+                self.mark(to, hit[w] >> b & 1 == 1);
             }
         }
-        let slot = self.occ.len() * 64;
-        self.grow();
-        slot
+    }
+
+    /// Row of `prio_slots` for priority `prio`, appending one on first use.
+    #[inline]
+    fn prio_class(&mut self, prio: u8) -> u8 {
+        match self.prios.iter().position(|&p| p == prio) {
+            Some(c) => c as u8,
+            None => {
+                self.prios.push(prio);
+                self.prio_len.push(0);
+                self.prio_slots.resize(self.prio_slots.len() + self.words(), 0);
+                (self.prios.len() - 1) as u8
+            }
+        }
+    }
+
+    /// Set `slot`'s bits in every bitmap (the slot's fields are filled).
+    #[inline]
+    fn mark(&mut self, slot: usize, hit: bool) {
+        let words = self.words();
+        let (w, bit) = (slot / 64, 1u64 << (slot % 64));
+        self.occ[w] |= bit;
+        self.hit[w] |= (hit as u64) << (slot % 64);
+        let q = &self.cmds[slot];
+        self.bank_slots[q.bank as usize * words + w] |= bit;
+        self.prio_slots[q.pclass as usize * words + w] |= bit;
     }
 
     #[inline]
     fn set_occupied(&mut self, slot: usize, hit: bool) {
-        let (w, b) = (slot / 64, slot % 64);
-        self.occ[w] |= 1 << b;
-        self.summary[w / 64] |= 1 << (w % 64);
-        self.hit[w] = (self.hit[w] & !(1 << b)) | ((hit as u64) << b);
-        self.bank_slots[self.bank[slot] as usize][w] |= 1 << b;
+        self.mark(slot, hit);
+        self.prio_len[self.cmds[slot].pclass as usize] += 1;
         self.len += 1;
     }
 
     #[inline]
     fn clear_slot(&mut self, slot: usize) {
-        let (w, b) = (slot / 64, slot % 64);
-        self.occ[w] &= !(1 << b);
-        if self.occ[w] == 0 {
-            self.summary[w / 64] &= !(1 << (w % 64));
-        }
-        self.hit[w] &= !(1 << b);
-        self.bank_slots[self.bank[slot] as usize][w] &= !(1 << b);
-        self.trace[slot] = None;
+        let words = self.words();
+        let (w, bit) = (slot / 64, 1u64 << (slot % 64));
+        self.occ[w] &= !bit;
+        self.hit[w] &= !bit;
+        let q = self.cmds[slot];
+        self.bank_slots[q.bank as usize * words + w] &= !bit;
+        self.prio_slots[q.pclass as usize * words + w] &= !bit;
+        self.prio_len[q.pclass as usize] -= 1;
         self.len -= 1;
+        if q.num == self.head {
+            self.head = match self.first_from_head(|w| self.occ[w]) {
+                Some(s) => self.cmds[s].num,
+                None => self.next,
+            };
+        }
     }
 
     /// Refresh the row-hit bits of every slot queued on `bank` after its
     /// open row changed to `row`.
     #[inline]
     fn rehit_bank(&mut self, bank: usize, row: u64) {
-        for (w, &word) in self.bank_slots[bank].iter().enumerate() {
-            let mut bits = word;
+        let words = self.words();
+        for w in 0..words {
+            let mut bits = self.bank_slots[bank * words + w];
             while bits != 0 {
                 let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let slot = w * 64 + b;
-                let hit = (self.row[slot] == row) as u64;
+                let hit = (self.row[w * 64 + b] == row) as u64;
                 self.hit[w] = (self.hit[w] & !(1 << b)) | (hit << b);
             }
         }
     }
 
-    /// FR-FCFS-lite candidate scan: the queued slot with the maximal
-    /// `(priority, row_hit, u64::MAX - arrival_seq)` key, commands older
-    /// than [`AGE_CAP`] escalated to the top priority. Keys are packed into
-    /// one integer so the inner loop is a single compare-and-select per
-    /// candidate; keys are unique (arrival sequence numbers are), so scan
-    /// order cannot influence the winner.
+    /// The oldest queued slot whose bit is set in `bitmap(word)`: a
+    /// first-set-bit search in circular order from the head slot, over the
+    /// words that hold arrivals `head..next` only.
     #[inline]
-    fn pick(&self, now: Cycles) -> Option<usize> {
-        let mut best_key: u128 = 0;
-        let mut best_slot = 0usize;
-        for (sw, &sword) in self.summary.iter().enumerate() {
-            let mut swbits = sword;
-            while swbits != 0 {
-                let w = sw * 64 + swbits.trailing_zeros() as usize;
-                swbits &= swbits - 1;
-                let mut bits = self.occ[w];
-                let hits = self.hit[w];
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let slot = w * 64 + b;
-                    let aged = now.saturating_sub(self.arrival_time[slot]) > AGE_CAP;
-                    let prio = if aged { u8::MAX } else { self.prio[slot] };
-                    let key = (((prio as u128) << 65)
-                        | (((hits >> b) & 1) as u128) << 64
-                        | (u64::MAX - self.arrival_seq[slot]) as u128)
-                        + 1;
-                    if key > best_key {
-                        best_key = key;
-                        best_slot = slot;
-                    }
-                }
+    fn first_from_head(&self, bitmap: impl Fn(usize) -> u64) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        let h = self.head as usize & self.mask();
+        let (hw, hb) = (h / 64, h % 64);
+        // Words from the head's word to the newest arrival's. When the span
+        // wraps fully, the last is the head's word again, whose bits at or
+        // above `hb` were already searched.
+        let span_words = ((self.next - 1 - self.head) as usize + hb) / 64 + 1;
+        let wmask = self.words() - 1;
+        let mut bits = bitmap(hw) & (u64::MAX << hb);
+        for k in 0..span_words {
+            let w = (hw + k) & wmask;
+            if k > 0 {
+                bits = bitmap(w);
+            }
+            if bits != 0 {
+                return Some(w * 64 + bits.trailing_zeros() as usize);
             }
         }
-        (best_key != 0).then_some(best_slot)
+        None
+    }
+
+    /// Exact FR-FCFS-lite pick: the queued slot with the maximal
+    /// `(priority, row_hit, oldest)` key, commands waiting longer than
+    /// [`AGE_CAP`] escalated to the top priority.
+    ///
+    /// Arrival times never decrease in ring order, so the aged commands
+    /// are a prefix of it. If the oldest command is aged, the top class is
+    /// every aged command plus priority-255 ones: the winner is its oldest
+    /// row hit (the oldest hit overall if that is aged, else the oldest
+    /// priority-255 hit), otherwise the oldest command. If not, nothing is
+    /// aged: the winner is the highest priority's oldest row hit, otherwise
+    /// its oldest command. Keys are unique, so this finds the same winner
+    /// as a scan of every key.
+    #[inline]
+    fn pick(&self, now: Cycles) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        let words = self.words();
+        let aged = |slot: usize| now.saturating_sub(self.arrival_time[slot]) > AGE_CAP;
+        let head = self.head as usize & self.mask();
+        if aged(head) {
+            if let Some(s) = self.first_from_head(|w| self.hit[w]).filter(|&s| aged(s)) {
+                return Some(s);
+            }
+            let p255 = self.prios.iter().position(|&p| p == u8::MAX);
+            if let Some(c) = p255.filter(|&c| self.prio_len[c] > 0) {
+                let row = &self.prio_slots[c * words..(c + 1) * words];
+                if let Some(s) = self.first_from_head(|w| self.hit[w] & row[w]) {
+                    return Some(s);
+                }
+            }
+            return Some(head);
+        }
+        let mut top = 0;
+        for c in 1..self.prios.len() {
+            let higher = self.prio_len[top] == 0 || self.prios[c] > self.prios[top];
+            if self.prio_len[c] > 0 && higher {
+                top = c;
+            }
+        }
+        let row = &self.prio_slots[top * words..(top + 1) * words];
+        self.first_from_head(|w| self.hit[w] & row[w]).or_else(|| self.first_from_head(|w| row[w]))
+    }
+
+    /// Consistency of the ring's bitmaps, placement and age order.
+    fn check(&self) -> Result<(), String> {
+        let words = self.words();
+        let pop: usize = self.occ.iter().map(|w| w.count_ones() as usize).sum();
+        if pop != self.len {
+            return Err(format!("slab occupancy {pop} disagrees with len {}", self.len));
+        }
+        for (w, &word) in self.occ.iter().enumerate() {
+            if self.hit[w] & !word != 0 {
+                return Err(format!("hit bit set on free slot (word {w})"));
+            }
+            let banks = (0..self.banks).fold(0, |u, b| u | self.bank_slots[b * words + w]);
+            if banks != word {
+                return Err(format!("bank slot bitmaps disagree with occupancy (word {w})"));
+            }
+            let prios = (0..self.prios.len()).fold(0, |u, c| u | self.prio_slots[c * words + w]);
+            if prios != word {
+                return Err(format!("priority slot bitmaps disagree with occupancy (word {w})"));
+            }
+        }
+        for (c, &n) in self.prio_len.iter().enumerate() {
+            let row = &self.prio_slots[c * words..(c + 1) * words];
+            let pop: usize = row.iter().map(|w| w.count_ones() as usize).sum();
+            if pop != n {
+                let p = self.prios[c];
+                return Err(format!("priority {p} bitmap holds {pop}, count says {n}"));
+            }
+        }
+        let mut last = 0;
+        let mut seen = 0;
+        for n in self.head..self.next {
+            let slot = n as usize & self.mask();
+            if self.occ[slot / 64] >> (slot % 64) & 1 == 0 {
+                if n == self.head {
+                    return Err(format!("head arrival {n} is not queued"));
+                }
+                continue;
+            }
+            if self.cmds[slot].num != n {
+                let held = self.cmds[slot].num;
+                return Err(format!("slot {slot} holds arrival {held}, expected {n}"));
+            }
+            if self.arrival_time[slot] < last {
+                return Err(format!("arrival time decreases in ring order at arrival {n}"));
+            }
+            last = self.arrival_time[slot];
+            seen += 1;
+        }
+        if seen != self.len {
+            let outside = self.len - seen;
+            return Err(format!("{outside} queued commands lie outside arrivals head..next"));
+        }
+        Ok(())
     }
 }
 
@@ -361,8 +534,8 @@ impl Channel {
         }
     }
 
-    /// Queue a command. `seq` is the device-wide arrival sequence number
-    /// assigned by [`MemDevice::enqueue_traced`].
+    /// Queue a command. Arrival times on a channel must never go
+    /// backwards: the ring's age order depends on it.
     #[allow(clippy::too_many_arguments)]
     fn enqueue(
         &mut self,
@@ -373,8 +546,12 @@ impl Channel {
         now: Cycles,
         class: BlameClass,
         tag: Option<TraceTag>,
-        seq: u64,
     ) {
+        debug_assert!(
+            now >= self.slab.last_arrival,
+            "channel arrival time went backwards: {now} < {}",
+            self.slab.last_arrival
+        );
         let (bank, row) = amap.map(cmd.addr);
         let trace = if tracing {
             tag.map(|tag| {
@@ -387,18 +564,22 @@ impl Channel {
         } else {
             None
         };
-        let slot = self.slab.alloc_slot();
+        let (num, slot) = self.slab.alloc_slot();
+        let pclass = self.slab.prio_class(if demand_first { cmd.priority } else { 0 });
         let s = &mut self.slab;
-        s.prio[slot] = if demand_first { cmd.priority } else { 0 };
+        s.last_arrival = now;
         s.arrival_time[slot] = now;
-        s.arrival_seq[slot] = seq;
-        s.bank[slot] = bank;
         s.row[slot] = row;
-        s.bytes[slot] = cmd.bytes;
-        s.write[slot] = cmd.is_write;
-        s.token[slot] = cmd.token;
-        s.class[slot] = class;
-        s.trace[slot] = trace;
+        s.cmds[slot] = Queued {
+            num,
+            token: cmd.token,
+            bank,
+            bytes: cmd.bytes,
+            pclass,
+            write: cmd.is_write,
+            class,
+            trace,
+        };
         let hit = self.banks[bank as usize].open_row == Some(row);
         s.set_occupied(slot, hit);
         self.queued_by_class[class.idx()] += 1;
@@ -459,13 +640,9 @@ impl Channel {
         slot: usize,
     ) -> (Cycles, u64) {
         let s = &self.slab;
-        let bank_idx = s.bank[slot] as usize;
+        let Queued { token, bytes: cmd_bytes, write: is_write, class, trace, .. } = s.cmds[slot];
+        let bank_idx = s.cmds[slot].bank as usize;
         let row = s.row[slot];
-        let cmd_bytes = s.bytes[slot];
-        let is_write = s.write[slot];
-        let token = s.token[slot];
-        let class = s.class[slot];
-        let trace = s.trace[slot];
         let arrival_time = s.arrival_time[slot];
         let burst = timing.burst_cycles(cmd_bytes);
         let bank = self.banks[bank_idx];
@@ -622,7 +799,6 @@ pub struct MemDevice {
     timing: DramTiming,
     amap: AddrMap,
     channels: Vec<Channel>,
-    seq: u64,
     /// Latency-optimised scheduling: honour command priorities (demand
     /// first). Bandwidth-optimised devices (the slow tier behind the cache)
     /// ignore priorities and run FR-FCFS.
@@ -653,7 +829,6 @@ impl MemDevice {
             timing,
             amap,
             channels: (0..channels).map(|_| Channel::new(banks)).collect(),
-            seq: 0,
             demand_first,
             tracing: false,
             iv_pool: Vec::new(),
@@ -669,7 +844,9 @@ impl MemDevice {
     /// Device-level consistency check for invariant monitors: per-channel
     /// in-flight occupancy must respect the pipeline depth (release-build
     /// counterpart of the `debug_assert` in [`Self::on_complete`]), and the
-    /// pending-slab bitmaps must agree with each other.
+    /// pending ring must be consistent: its bitmaps agree with each other,
+    /// each queued command sits at its arrival number modulo the capacity,
+    /// and arrival times never decrease in ring order.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (ch, c) in self.channels.iter().enumerate() {
             if c.in_flight > PIPELINE_DEPTH {
@@ -678,32 +855,7 @@ impl MemDevice {
                     c.in_flight
                 ));
             }
-            let s = &c.slab;
-            let pop: usize = s.occ.iter().map(|w| w.count_ones() as usize).sum();
-            if pop != s.len {
-                return Err(format!(
-                    "channel {ch}: slab occupancy {pop} disagrees with len {}",
-                    s.len
-                ));
-            }
-            for (w, &word) in s.occ.iter().enumerate() {
-                if s.hit[w] & !word != 0 {
-                    return Err(format!("channel {ch}: hit bit set on free slot (word {w})"));
-                }
-                let sbit = s.summary[w / 64] >> (w % 64) & 1;
-                if (word != 0) != (sbit == 1) {
-                    return Err(format!("channel {ch}: summary bit stale for word {w}"));
-                }
-                let mut union = 0u64;
-                for b in &s.bank_slots {
-                    union |= b[w];
-                }
-                if union != word {
-                    return Err(format!(
-                        "channel {ch}: bank slot bitmaps disagree with occupancy (word {w})"
-                    ));
-                }
-            }
+            c.slab.check().map_err(|e| format!("channel {ch}: {e}"))?;
         }
         Ok(())
     }
@@ -725,8 +877,6 @@ impl MemDevice {
         class: BlameClass,
         tag: Option<TraceTag>,
     ) {
-        let seq = self.seq;
-        self.seq += 1;
         self.channels[ch].enqueue(
             &self.amap,
             self.demand_first,
@@ -735,7 +885,6 @@ impl MemDevice {
             now,
             class,
             tag,
-            seq,
         );
     }
 
@@ -1219,8 +1368,8 @@ mod tests {
         assert_eq!(m.map(123_456_789), ((rg % 12) as u32, rg / 12));
     }
 
-    /// Slab slots are reused lowest-index-first and never shift queued
-    /// commands around; draining and refilling must not grow the slab.
+    /// Shallow traffic cycles through the 64-slot ring without ever
+    /// growing it: drained slots are reused as arrivals wrap around.
     #[test]
     fn slab_reuses_slots_without_growth() {
         let mut d = dev(TimingPreset::Ddr4, 1);
@@ -1235,70 +1384,147 @@ mod tests {
             }
             out.clear();
         }
-        assert_eq!(d.channels[0].slab.occ.len(), 1, "slab must stay at one word");
+        let s = &d.channels[0].slab;
+        assert_eq!(s.occ.len(), 1, "ring must stay at 64 slots");
+        assert_eq!(s.next, 800, "arrivals wrapped the ring many times");
         d.check_invariants().unwrap();
     }
 
-    /// The bitmap scan must agree with a straight reference scan of the
-    /// original `(prio, row_hit, oldest)` key on randomised deep queues.
+    /// Brute-force reference pick: the queued slot with the maximal
+    /// `(priority, row_hit, oldest)` tuple key, row hits taken from the
+    /// banks' open rows rather than the ring's hit bitmap.
+    fn reference_pick(c: &Channel, now: Cycles) -> Option<usize> {
+        let s = &c.slab;
+        let mut best: Option<((u8, bool, u64), usize)> = None;
+        for slot in 0..s.occ.len() * 64 {
+            if s.occ[slot / 64] >> (slot % 64) & 1 == 0 {
+                continue;
+            }
+            let q = &s.cmds[slot];
+            let hit = c.banks[q.bank as usize].open_row == Some(s.row[slot]);
+            let prio = if now.saturating_sub(s.arrival_time[slot]) > AGE_CAP {
+                u8::MAX
+            } else {
+                s.prios[q.pclass as usize]
+            };
+            let key = (prio, hit, u64::MAX - q.num);
+            if best.is_none_or(|(k, _)| key > k) {
+                best = Some((key, slot));
+            }
+        }
+        best.map(|(_, slot)| slot)
+    }
+
+    /// The ring's pick must equal the brute-force tuple scan on every pick
+    /// of seeded churn: interleaved enqueue bursts, pumps and completions,
+    /// priorities {0, 1, 2, 255}, aged and non-aged heads, and arrival
+    /// spans that force the ring to grow and wrap.
     #[test]
-    fn pick_matches_reference_scan() {
-        let t = TimingPreset::Ddr4.timing();
-        let mut d = dev(TimingPreset::Ddr4, 1);
-        let mut state = 0x243F_6A88_85A3_08D3u64; // deterministic LCG
-        let mut rng = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            state >> 11
-        };
-        // Fill the pipeline so everything stays queued; then check pick
-        // against the reference at several probe times.
-        for i in 0..PIPELINE_DEPTH as u64 {
-            d.enqueue(0, MemCmd { token: i, ..rd(i << 20, 64) }, 0);
-        }
-        let mut out = Vec::new();
-        d.pump(0, 0, &mut out);
-        for i in 0..200u64 {
-            let r = rng();
-            d.enqueue(
-                0,
-                MemCmd {
-                    addr: (r % 4096) * t.row_bytes / 4,
-                    bytes: 64,
-                    is_write: r & 1 == 0,
-                    priority: (r % 3) as u8,
-                    token: 1000 + i,
-                },
-                i / 4,
-            );
-        }
-        for now in [0u64, 50, 100, 260, 400] {
-            let c = &d.channels[0];
-            let s = &c.slab;
-            // Reference: linear scan over occupied slots with tuple keys.
-            let mut best: Option<(u8, bool, u64, usize)> = None;
-            for (w, &word) in s.occ.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let slot = w * 64 + b;
-                    let hit = c.banks[s.bank[slot] as usize].open_row == Some(s.row[slot]);
-                    let prio = if now.saturating_sub(s.arrival_time[slot]) > AGE_CAP {
-                        u8::MAX
-                    } else {
-                        s.prio[slot]
-                    };
-                    let key = (prio, hit, u64::MAX - s.arrival_seq[slot]);
-                    if best.is_none()
-                        || (key.0, key.1, key.2)
-                            > (best.unwrap().0, best.unwrap().1, best.unwrap().2)
-                    {
-                        best = Some((key.0, key.1, key.2, slot));
+    fn pick_matches_reference_scan_under_churn() {
+        let t = TimingPreset::Hbm2eSuper.timing();
+        let (mut grown, mut wrapped, mut aged_picks, mut fresh_picks) = (0, 0, 0, 0);
+        for seed in 0..48u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x243F_6A88_85A3_08D3;
+            let mut rng = move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state >> 11
+            };
+            let mut d = MemDevice::with_scheduling(t.clone(), 1, seed % 8 != 7);
+            let mut now: Cycles = 0;
+            let mut inflight: Vec<Cycles> = Vec::new();
+            let mut token = 0u64;
+            // A few rows per bank so row hits are common.
+            let rows = 1 + rng() % 4;
+            for _ in 0..400 {
+                match rng() % 8 {
+                    // Enqueue burst; deep ones outgrow the ring.
+                    0..=2 => {
+                        let n = 1 + rng() % if rng() % 4 == 0 { 120 } else { 12 };
+                        for _ in 0..n {
+                            let r = rng();
+                            let bank = r % t.banks_per_channel as u64;
+                            let row = (r >> 8) % rows;
+                            d.enqueue(
+                                0,
+                                MemCmd {
+                                    addr: (row * t.banks_per_channel as u64 + bank) * t.row_bytes
+                                        + (r >> 16) % t.row_bytes,
+                                    bytes: 64,
+                                    is_write: r & 1 == 0,
+                                    priority: [0, 1, 2, u8::MAX][(r >> 20) as usize % 4],
+                                    token,
+                                },
+                                now,
+                            );
+                            token += 1;
+                        }
+                    }
+                    // Time passes: briefly (heads stay fresh) or past AGE_CAP.
+                    3 | 4 => now += if rng() % 3 == 0 { 100 + rng() % 400 } else { rng() % 20 },
+                    // Completions, earliest first.
+                    _ => {
+                        inflight.sort_unstable();
+                        let n = (1 + rng() % 12).min(inflight.len() as u64) as usize;
+                        for done in inflight.drain(..n) {
+                            now = now.max(done);
+                            d.on_complete(0);
+                        }
                     }
                 }
+                // Pump, checking every pick against the reference.
+                let c = &mut d.channels[0];
+                while c.in_flight < PIPELINE_DEPTH {
+                    let picked = c.slab.pick(now);
+                    assert_eq!(picked, reference_pick(c, now), "seed {seed} now {now}");
+                    let Some(slot) = picked else { break };
+                    if c.slab.len > 0 {
+                        let head = c.slab.head as usize & c.slab.mask();
+                        if now.saturating_sub(c.slab.arrival_time[head]) > AGE_CAP {
+                            aged_picks += 1;
+                        } else {
+                            fresh_picks += 1;
+                        }
+                    }
+                    let (done, _) = c.start_slot(&d.timing, false, &mut d.iv_pool, now, slot);
+                    c.in_flight += 1;
+                    inflight.push(done);
+                }
+                let s = &d.channels[0].slab;
+                grown += (s.occ.len() > 1) as u32;
+                wrapped += (s.head > (s.occ.len() * 64) as u64) as u32;
+                d.check_invariants().unwrap();
             }
-            assert_eq!(s.pick(now), best.map(|(.., slot)| slot), "now={now}");
         }
+        assert!(grown > 0 && wrapped > 0, "churn must grow and wrap the ring");
+        assert!(aged_picks > 0 && fresh_picks > 0, "churn must see aged and fresh heads");
+    }
+
+    /// A low-priority command that never ages (time stands still) while
+    /// higher-priority traffic churns past it stretches the arrival span
+    /// far beyond the queue depth: the ring grows to cover the span and
+    /// every pick stays exact.
+    #[test]
+    fn starved_head_grows_the_ring_by_span() {
+        let mut d = dev(TimingPreset::Ddr4, 1);
+        let mut out = Vec::new();
+        d.enqueue(0, MemCmd { token: 0, ..rd(0, 64) }, 0);
+        for i in 1..PIPELINE_DEPTH as u64 {
+            d.enqueue(0, MemCmd { token: i, priority: 2, ..rd(i << 20, 64) }, 0);
+        }
+        for i in 0..300u64 {
+            d.enqueue(0, MemCmd { token: 1000 + i, priority: 1, ..rd(i << 13, 64) }, 0);
+            d.pump(0, 0, &mut out);
+            let c = &d.channels[0];
+            assert_eq!(c.slab.pick(0), reference_pick(c, 0));
+            if !out.is_empty() {
+                d.on_complete(0);
+            }
+            out.clear();
+            assert!(d.channels[0].slab.len <= 3, "queue stays shallow");
+        }
+        let s = &d.channels[0].slab;
+        assert_eq!(s.head, 0, "the priority-0 command is still queued");
+        assert_eq!(s.occ.len() * 64, 512, "ring covers the 349-arrival span");
         d.check_invariants().unwrap();
     }
 
