@@ -10,11 +10,10 @@
 //! h2 run --mix C1 --capture t.h2trace  # capture a mix run's demand stream
 //! h2 run --replay t.h2trace         # bit-identical replay from the capture
 //! h2 all                            # run everything (Tables I-II, Figs 2, 5-11)
-//! h2 run --jobs 4 fig8              # cap the simulation worker pool
 //! h2 fuzz --seeds 500               # deterministic simulation fuzzer (h2-check)
 //! h2 fuzz --replay repro.json       # replay a committed reproducer
 //! h2 bench [--gate|--baseline]      # hot-path bench / regression gate
-//! h2 sweep spec.json [--jobs 4]     # run a sweep campaign (see DESIGN.md §16)
+//! h2 sweep spec.json [--jobs 4]     # sweep campaign on 4 workers (DESIGN.md §16)
 //! h2 cache stats                    # inspect the persistent run store
 //! h2 cache gc --max-bytes 512M      # LRU-evict the store down to a budget
 //! ```
@@ -23,6 +22,11 @@
 //! CSVs are written to `results/`. Completed simulations persist in
 //! `results/.runcache/` and are replayed on re-runs; set `H2_RUNCACHE=off`
 //! to disable, or point it at an alternate directory.
+//!
+//! `--telemetry`, `--trace`, `--trace-sample` and `--profile <dir>` belong
+//! to `h2 run` / `h2 all` and may appear before or after the subcommand;
+//! any other subcommand rejects them (exit 2). `--jobs N` belongs to
+//! `h2 sweep` alone: experiments run their jobs one at a time.
 //!
 //! `--telemetry <dir>` writes one machine-readable epoch-resolved timeline
 //! per simulation run (`<mix>_<policy>_<key>.json`, schema documented in
@@ -40,7 +44,9 @@
 //! covers *executed* simulations only — cache replays spend no simulator
 //! time, so a fully warm run produces a near-empty profile.
 
-use h2_harness::{run_experiment, validate_run_ids, Profile, RunCache, ALL_EXPERIMENTS};
+use h2_harness::{
+    run_experiment, take_flag, validate_run_ids, Profile, RunCache, ALL_EXPERIMENTS,
+};
 use h2_sim_core::prof;
 use std::path::{Path, PathBuf};
 
@@ -55,151 +61,104 @@ static GLOBAL: h2_harness::alloc_count::CountingAlloc =
 /// Default request-trace sampling rate: every 64th demand read.
 const DEFAULT_TRACE_SAMPLE: u64 = 64;
 
-/// Extract `--flag <value>` from anywhere in `args`, removing both tokens.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        eprintln!("{flag} needs an argument");
-        std::process::exit(2);
+/// Value-taking output flags of `h2 run` / `h2 all`.
+const RUN_FLAGS: [&str; 4] = ["--telemetry", "--trace", "--trace-sample", "--profile"];
+
+const USAGE: &str = "usage: h2 list | h2 [--telemetry <dir>] [--trace <dir> [--trace-sample N]] [--profile <dir>] run <experiment>.. | h2 all | h2 fuzz [--seeds N] [--time-budget SECS] [--replay FILE] | h2 bench [--gate|--baseline] [--iters N] [--profile] [--profile-out DIR] [--profile-snapshot] | h2 sweep <spec.json> [--out FILE] [--jobs N] | h2 cache stats|gc [--max-bytes N[K|M|G]] [--dir D]";
+
+/// Output options of `h2 run` / `h2 all`, parsed from [`RUN_FLAGS`].
+struct RunOpts {
+    telemetry: Option<PathBuf>,
+    trace: Option<(PathBuf, u64)>,
+    profile: Option<PathBuf>,
+}
+
+impl RunOpts {
+    fn take(args: &mut Vec<String>) -> Result<Self, String> {
+        let telemetry = take_flag(args, "--telemetry")?.map(PathBuf::from);
+        let trace_dir = take_flag(args, "--trace")?.map(PathBuf::from);
+        let profile = take_flag(args, "--profile")?.map(PathBuf::from);
+        let trace_sample = match take_flag(args, "--trace-sample")? {
+            Some(v) => Some(v.parse::<u64>().map_err(|_| {
+                format!("--trace-sample needs an unsigned integer, got '{v}'")
+            })?),
+            None => None,
+        };
+        if trace_sample.is_some() && trace_dir.is_none() {
+            return Err("--trace-sample requires --trace <dir>".into());
+        }
+        let trace = trace_dir.map(|d| (d, trace_sample.unwrap_or(DEFAULT_TRACE_SAMPLE)));
+        Ok(Self { telemetry, trace, profile })
     }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Some(v)
+}
+
+/// Print `msg` and exit with status 2 (bad invocation).
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let profile = Profile::from_env();
 
-    let telemetry_dir = take_flag(&mut args, "--telemetry").map(PathBuf::from);
-    let trace_dir = take_flag(&mut args, "--trace").map(PathBuf::from);
-    // `--profile` is value-taking here (`h2 run --profile <dir>`) but a
-    // plain boolean for `h2 bench --profile`; leave it for cmd_bench to
-    // parse when the bench subcommand is present.
-    let profile_dir = if args.iter().any(|a| a == "bench") {
-        None
-    } else {
-        take_flag(&mut args, "--profile").map(PathBuf::from)
-    };
-    let trace_sample = match take_flag(&mut args, "--trace-sample") {
-        Some(v) => match v.parse::<u64>() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                eprintln!("--trace-sample needs an unsigned integer, got '{v}'");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
-    if trace_sample.is_some() && trace_dir.is_none() {
-        eprintln!("--trace-sample requires --trace <dir>");
-        std::process::exit(2);
+    // The subcommand is the first token that is not a run flag or its value.
+    let mut at = 0;
+    while args.get(at).is_some_and(|a| RUN_FLAGS.contains(&a.as_str())) {
+        at += 2;
     }
-    let trace = trace_dir.map(|d| (d, trace_sample.unwrap_or(DEFAULT_TRACE_SAMPLE)));
-    let jobs = match take_flag(&mut args, "--jobs") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(0) => {
-                eprintln!("--jobs must be > 0 (zero workers run nothing)");
-                std::process::exit(2);
-            }
-            Ok(n) => Some(n),
-            Err(_) => {
-                eprintln!("--jobs needs an unsigned integer, got '{v}'");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
+    let cmd = if at < args.len() { args.remove(at) } else { String::new() };
 
-    match args.first().map(|s| s.as_str()) {
-        Some("list") => {
+    match cmd.as_str() {
+        "list" => {
             println!("experiments: {}", ALL_EXPERIMENTS.join(" "));
             println!("profile: {profile:?} (H2_PROFILE=quick|default|full)");
         }
-        Some("all") => {
-            run_ids(
-                &ALL_EXPERIMENTS,
-                &profile,
-                telemetry_dir.as_deref(),
-                trace.as_ref(),
-                profile_dir.as_deref(),
-                jobs,
-            );
-        }
-        // Trace mode: `h2 run --scenario/--capture/--replay` (DESIGN.md
-        // §18). Gated on the `run` subcommand so `h2 fuzz --replay` keeps
-        // its repro flag.
-        Some("run") if h2_harness::trace_cli::is_trace_mode(&args[1..]) => {
-            std::process::exit(h2_harness::trace_cli::cmd_run_trace(
-                &args[1..],
-                telemetry_dir.as_deref(),
-                profile_dir.as_deref(),
-            ));
-        }
-        Some("run") if args.len() > 1 => {
-            let ids: Vec<&str> = args[1..].iter().map(|s| s.as_str()).collect();
-            if let Err(e) = validate_run_ids(&ids) {
-                eprintln!("{e}");
-                std::process::exit(2);
+        "run" | "all" => {
+            let opts = RunOpts::take(&mut args).unwrap_or_else(|e| fail(&e));
+            // Trace mode: `h2 run --scenario/--capture/--replay` (DESIGN.md §18).
+            if cmd == "run" && h2_harness::trace_cli::is_trace_mode(&args) {
+                std::process::exit(h2_harness::trace_cli::cmd_run_trace(
+                    &args,
+                    opts.telemetry.as_deref(),
+                    opts.profile.as_deref(),
+                ));
             }
-            run_ids(
-                &ids,
-                &profile,
-                telemetry_dir.as_deref(),
-                trace.as_ref(),
-                profile_dir.as_deref(),
-                jobs,
-            );
+            if let Some(extra) = args.iter().find(|a| cmd == "all" || a.starts_with("--")) {
+                fail(&format!("unknown argument '{extra}' ({USAGE})"));
+            }
+            let ids: Vec<&str> = match cmd.as_str() {
+                "all" => ALL_EXPERIMENTS.to_vec(),
+                _ => args.iter().map(String::as_str).collect(),
+            };
+            if let Err(e) = validate_run_ids(&ids) {
+                fail(&e);
+            }
+            run_ids(&ids, &profile, &opts);
         }
-        Some("fuzz") => {
-            std::process::exit(h2_harness::fuzz_cli::cmd_fuzz(&args[1..]));
-        }
-        Some("bench") => {
-            std::process::exit(h2_harness::hotbench::cmd_bench(&args[1..]));
-        }
-        Some("sweep") => {
-            std::process::exit(h2_harness::sweep::cmd_sweep(&args[1..], jobs));
-        }
-        Some("cache") => {
-            std::process::exit(h2_harness::sweep::cmd_cache(&args[1..]));
-        }
-        _ => {
-            eprintln!(
-                "usage: h2 list | h2 [--telemetry <dir>] [--trace <dir> [--trace-sample N]] [--profile <dir>] [--jobs N] run <experiment>.. | h2 all | h2 fuzz [--seeds N] [--time-budget SECS] [--jobs N] [--replay FILE] | h2 bench [--gate|--baseline] [--iters N] [--profile] [--profile-out DIR] [--profile-snapshot] | h2 sweep <spec.json> [--out FILE] [--jobs N] | h2 cache stats|gc [--max-bytes N[K|M|G]] [--dir D]"
-            );
-            eprintln!("experiments: {}", ALL_EXPERIMENTS.join(" "));
-            std::process::exit(2);
-        }
+        "fuzz" => std::process::exit(h2_harness::fuzz_cli::cmd_fuzz(&args)),
+        "bench" => std::process::exit(h2_harness::hotbench::cmd_bench(&args)),
+        "sweep" => std::process::exit(h2_harness::sweep::cmd_sweep(&args)),
+        "cache" => std::process::exit(h2_harness::sweep::cmd_cache(&args)),
+        _ => fail(&format!("{USAGE}\nexperiments: {}", ALL_EXPERIMENTS.join(" "))),
     }
 }
 
-fn run_ids(
-    ids: &[&str],
-    profile: &Profile,
-    telemetry_dir: Option<&Path>,
-    trace: Option<&(PathBuf, u64)>,
-    profile_dir: Option<&Path>,
-    jobs: Option<usize>,
-) {
-    if profile_dir.is_some() {
+fn run_ids(ids: &[&str], profile: &Profile, opts: &RunOpts) {
+    if opts.profile.is_some() {
         prof::set_alloc_probe(h2_harness::alloc_count::allocs);
         prof::reset();
         prof::arm();
     }
     let mut cache = RunCache::persistent();
-    if let Some(n) = jobs {
-        cache.set_jobs(n);
-    }
-    if let Some(dir) = telemetry_dir {
+    if let Some(dir) = &opts.telemetry {
         if let Err(e) = cache.set_telemetry_dir(dir) {
-            eprintln!("cannot create telemetry dir {}: {e}", dir.display());
-            std::process::exit(2);
+            fail(&format!("cannot create telemetry dir {}: {e}", dir.display()));
         }
     }
-    if let Some((dir, sample)) = trace {
+    if let Some((dir, sample)) = &opts.trace {
         if let Err(e) = cache.set_trace_dir(dir, *sample) {
-            eprintln!("cannot create trace dir {}: {e}", dir.display());
-            std::process::exit(2);
+            fail(&format!("cannot create trace dir {}: {e}", dir.display()));
         }
     }
     let t0 = std::time::Instant::now();
@@ -215,10 +174,7 @@ fn run_ids(
                     }
                 }
             }
-            None => {
-                eprintln!("unknown experiment '{id}' (see `h2 list`)");
-                std::process::exit(2);
-            }
+            None => fail(&format!("unknown experiment '{id}' (see `h2 list`)")),
         }
     }
     eprintln!(
@@ -227,7 +183,7 @@ fn run_ids(
         t0.elapsed().as_secs_f64(),
         cache.summary()
     );
-    if let Some(dir) = profile_dir {
+    if let Some(dir) = &opts.profile {
         prof::disarm();
         let report = prof::take_report();
         match h2_harness::profout::write_profile(dir, &report) {
@@ -237,10 +193,7 @@ fn run_ids(
                     eprintln!("profile: {}", p.display());
                 }
             }
-            Err(e) => {
-                eprintln!("cannot write profile to {}: {e}", dir.display());
-                std::process::exit(2);
-            }
+            Err(e) => fail(&format!("cannot write profile to {}: {e}", dir.display())),
         }
     }
 }

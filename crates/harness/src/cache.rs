@@ -1,11 +1,13 @@
-//! Two-level memoisation of simulation runs.
+//! Two-level memoisation of simulation runs, and the one job executor.
 //!
 //! Several experiments need the same runs (every figure needs per-mix
 //! baselines; Fig 6 reuses Fig 5's runs). Jobs are keyed by a structured
 //! `u128` hash of the full configuration ([`crate::key::job_key`]); lookups
-//! go memory → disk ([`crate::persist::DiskTier`]) → simulate. Batches are
-//! deduplicated before dispatch and fanned out over a `std::thread` worker
-//! pool when more than one CPU is available.
+//! go memory → disk ([`crate::sweep::store::ShardedStore`]) → simulate.
+//! [`RunCache::run_batch`] is the only place a job is looked up, executed
+//! and admitted: it deduplicates a batch, serves tier hits, and fans the
+//! misses out over a `std::thread` worker pool. `h2 sweep` runs every
+//! batch through it, and [`RunCache::run`] is a one-job batch.
 //!
 //! The disk tier (default `results/.runcache/`) survives process restarts:
 //! re-running an experiment after a crash or `^C` replays completed
@@ -14,7 +16,7 @@
 //! `off`/`0` → memory-only.
 
 use crate::key::job_key;
-use crate::persist::DiskTier;
+use crate::sweep::store::ShardedStore;
 use h2_system::{run_scenario, run_sim_parts, Participants, PolicyKind, RunReport, SystemConfig};
 use h2_trace::{Mix, TenantScenario};
 use std::collections::{HashMap, HashSet};
@@ -23,6 +25,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
+use std::time::Instant;
 
 /// One simulation job.
 #[derive(Debug, Clone)]
@@ -71,12 +74,43 @@ impl Job {
     }
 }
 
-/// Execute one job (scenario or mix) with the given effective config.
-fn execute(cfg: &SystemConfig, job: &Job) -> RunReport {
-    match &job.scenario {
-        Some(sc) => run_scenario(cfg, sc, job.kind),
-        None => run_sim_parts(cfg, &job.mix, job.kind, job.parts),
+/// How one job of a [`RunCache::run_batch`] call was satisfied, as
+/// reported to its `on_done` callback.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Provenance {
+    /// Simulated in this batch, taking `wall_s` seconds on its worker.
+    Executed {
+        /// Wall-clock seconds the simulation took.
+        wall_s: f64,
+    },
+    /// Replayed from the persistent tier.
+    DiskHit,
+}
+
+/// Which tier a [`RunCache`] lookup hit.
+#[derive(PartialEq)]
+enum Tier {
+    Memory,
+    Disk,
+}
+
+/// Execute one job (scenario or mix), with the cache-level trace-sample
+/// override applied (it never changes the key). Returns the report and
+/// the wall-clock seconds it took.
+fn execute(job: &Job, trace_sample: Option<u64>, verbose: bool) -> (RunReport, f64) {
+    if verbose {
+        eprintln!("[h2] running {} / {:?} / {:?}", job.mix.name, job.kind, job.parts);
     }
+    let mut cfg = job.cfg.clone();
+    if trace_sample.is_some() {
+        cfg.trace_sample = trace_sample;
+    }
+    let t0 = Instant::now();
+    let report = match &job.scenario {
+        Some(sc) => run_scenario(&cfg, sc, job.kind),
+        None => run_sim_parts(&cfg, &job.mix, job.kind, job.parts),
+    };
+    (report, t0.elapsed().as_secs_f64())
 }
 
 /// The default persistent-cache directory: `results/.runcache` under the
@@ -125,7 +159,7 @@ fn dump_name(report: &RunReport, key: u128, ext: &str) -> String {
 #[derive(Default)]
 pub struct RunCache {
     map: HashMap<u128, RunReport>,
-    disk: Option<DiskTier>,
+    disk: Option<ShardedStore>,
     /// Runs actually executed (missed both tiers).
     pub executed: usize,
     /// In-memory cache hits.
@@ -153,26 +187,9 @@ pub struct RunCache {
     /// the run is re-executed traced and overwrites the untraced entry).
     /// Tracing never changes job keys — see `crate::key`.
     trace_sample: Option<u64>,
-    /// Worker-pool size override for `run_batch` (`--jobs N`). `None`
-    /// falls back to the process-wide default, then to the CPU count.
+    /// Worker-pool size cap for `run_batch` (`h2 sweep --jobs N`). `None`
+    /// uses the CPU count.
     jobs: Option<usize>,
-}
-
-/// Process-wide default worker count (0 = auto-detect). Set once from the
-/// CLI (`--jobs`) so every cache constructed afterwards — including the
-/// scratch caches the fuzz oracles build internally — honours it.
-static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the process-wide default `run_batch` worker count (0 = auto).
-pub fn set_default_jobs(n: usize) {
-    DEFAULT_JOBS.store(n, Ordering::Relaxed);
-}
-
-fn default_jobs() -> Option<usize> {
-    match DEFAULT_JOBS.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
 }
 
 impl RunCache {
@@ -191,7 +208,7 @@ impl RunCache {
     pub fn persistent() -> Self {
         let mut c = Self::new();
         let Some(dir) = resolve_cache_dir() else { return c };
-        match DiskTier::open(&dir) {
+        match ShardedStore::open(&dir) {
             Ok(t) => c.disk = Some(t),
             Err(e) => eprintln!("[h2] run cache disabled ({}: {e})", dir.display()),
         }
@@ -201,26 +218,29 @@ impl RunCache {
     /// Cache backed by an explicit directory (tests).
     pub fn with_disk_dir(dir: &Path) -> std::io::Result<Self> {
         let mut c = Self::new();
-        c.disk = Some(DiskTier::open(dir)?);
+        c.disk = Some(ShardedStore::open(dir)?);
         Ok(c)
-    }
-
-    /// Whether a persistent tier is attached.
-    pub fn is_persistent(&self) -> bool {
-        self.disk.is_some()
     }
 
     /// The sharded store behind the persistent tier, if any. The
     /// crash-consistency suite uses this to inject commit faults and read
     /// quarantine counters on the exact handle the cache writes through.
-    pub fn disk_store(&self) -> Option<&crate::sweep::store::ShardedStore> {
-        self.disk.as_ref().map(DiskTier::sharded)
+    pub fn disk_store(&self) -> Option<&ShardedStore> {
+        self.disk.as_ref()
     }
 
     /// Cap the `run_batch` worker pool at `n` threads (`n = 1` forces
-    /// sequential execution). Overrides [`set_default_jobs`].
+    /// sequential execution).
     pub fn set_jobs(&mut self, n: usize) {
         self.jobs = Some(n.max(1));
+    }
+
+    /// Worker threads a `run_batch` call with enough misses uses: the
+    /// [`set_jobs`](Self::set_jobs) cap, else the CPU count.
+    pub(crate) fn workers(&self) -> usize {
+        self.jobs.unwrap_or_else(|| {
+            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        })
     }
 
     /// Dump every run's telemetry timeline into `dir` (created if needed)
@@ -278,62 +298,24 @@ impl RunCache {
         self.trace_sample.is_none() || r.trace.is_some()
     }
 
-    /// A job's effective config: the requested one, plus the cache-level
-    /// trace-sample override (which never changes the key).
-    fn effective_cfg(&self, job: &Job) -> SystemConfig {
-        let mut cfg = job.cfg.clone();
-        if self.trace_sample.is_some() {
-            cfg.trace_sample = self.trace_sample;
-        }
-        cfg
-    }
-
     /// Look a key up in both tiers, promoting disk hits into memory.
-    fn fetch(&mut self, key: u128) -> Option<RunReport> {
-        if let Some(r) = self.map.get(&key) {
-            if self.satisfies_trace(r) {
-                self.hits += 1;
-                return Some(r.clone());
-            }
+    fn fetch(&mut self, key: u128) -> Option<Tier> {
+        if self.map.get(&key).is_some_and(|r| self.satisfies_trace(r)) {
+            self.hits += 1;
+            return Some(Tier::Memory);
         }
-        if let Some(disk) = &self.disk {
-            if let Some(r) = disk.load(key) {
-                if self.satisfies_trace(&r) {
-                    self.disk_hits += 1;
-                    self.dump_all(key, &r);
-                    self.map.insert(key, r.clone());
-                    return Some(r);
-                }
-            }
-        }
-        None
+        let r = self.disk.as_ref()?.load(key).filter(|r| self.satisfies_trace(r))?;
+        self.disk_hits += 1;
+        self.dump_all(key, &r);
+        self.map.insert(key, r);
+        Some(Tier::Disk)
     }
 
     /// Record a finished run in both tiers.
-    fn admit(&mut self, key: u128, report: &RunReport) {
+    fn admit(&mut self, key: u128, report: RunReport) {
         self.executed += 1;
         self.sim_events += report.events_processed;
         self.sim_wall_s += report.wall_s;
-        if let Some(disk) = &self.disk {
-            if let Err(e) = disk.store(key, report) {
-                eprintln!("[h2] run cache write failed: {e}");
-            }
-        }
-        self.dump_all(key, report);
-        self.map.insert(key, report.clone());
-    }
-
-    /// Run (or fetch) a single job.
-    pub fn run(&mut self, job: &Job) -> RunReport {
-        let key = job.key();
-        if let Some(r) = self.fetch(key) {
-            return r;
-        }
-        if self.verbose {
-            eprintln!("[h2] running {} / {:?} / {:?}", job.mix.name, job.kind, job.parts);
-        }
-        let cfg = self.effective_cfg(job);
-        let report = execute(&cfg, job);
         if self.verbose {
             eprintln!(
                 "[h2]   done in {:.1}s ({} events, {:.2} Mev/s)",
@@ -342,97 +324,91 @@ impl RunCache {
                 report.events_per_sec / 1e6
             );
         }
-        self.admit(key, &report);
-        report
+        if let Some(disk) = &self.disk {
+            if let Err(e) = disk.store(key, &report) {
+                eprintln!("[h2] run cache write failed: {e}");
+            }
+        }
+        self.dump_all(key, &report);
+        self.map.insert(key, report);
     }
 
-    /// Run a batch of jobs, deduplicating identical jobs and using a worker
-    /// pool when multiple CPUs exist. Results come back in job order.
-    pub fn run_batch(&mut self, jobs: &[Job]) -> Vec<RunReport> {
-        // Partition into cached and to-run, collapsing duplicates so each
-        // distinct key is simulated at most once per batch.
+    /// Run (or fetch) a single job: a one-job [`run_batch`](Self::run_batch).
+    pub fn run(&mut self, job: &Job) -> RunReport {
+        let mut reports = self.run_batch(std::slice::from_ref(job), |_, _, _| {});
+        reports.pop().expect("one job, one report")
+    }
+
+    /// Run a batch of jobs and return their reports in job order.
+    ///
+    /// Identical jobs are collapsed so each distinct key is simulated at
+    /// most once per batch; tier hits are served first, then the misses
+    /// run on a pool of threads (the [`set_jobs`](Self::set_jobs) cap, else
+    /// the CPU count) that pull the next job index from a shared counter. `on_done(i, provenance,
+    /// report)` fires on the calling thread once per disk hit and once per
+    /// executed job (`i` indexes `jobs`, at its first occurrence), always
+    /// *after* the report is admitted to both tiers, so completion implies
+    /// durability. Memory hits and duplicates fire no callback.
+    pub fn run_batch(
+        &mut self,
+        jobs: &[Job],
+        mut on_done: impl FnMut(usize, Provenance, &RunReport),
+    ) -> Vec<RunReport> {
+        let keys: Vec<u128> = jobs.iter().map(Job::key).collect();
         let mut pending = HashSet::new();
-        let mut misses: Vec<(u128, Job)> = Vec::new();
-        for job in jobs {
-            let key = job.key();
-            if self.map.get(&key).is_some_and(|r| self.satisfies_trace(r)) {
-                self.hits += 1;
-                continue;
-            }
-            if !pending.insert(key) {
+        let mut misses: Vec<usize> = Vec::new();
+        for (i, &key) in keys.iter().enumerate() {
+            if pending.contains(&key) {
                 self.deduped += 1;
-                continue;
+            } else if let Some(tier) = self.fetch(key) {
+                if tier == Tier::Disk {
+                    on_done(i, Provenance::DiskHit, &self.map[&key]);
+                }
+            } else {
+                pending.insert(key);
+                misses.push(i);
             }
-            if let Some(r) = self
-                .disk
-                .as_ref()
-                .and_then(|d| d.load(key))
-                .filter(|r| self.satisfies_trace(r))
-            {
-                self.disk_hits += 1;
-                self.dump_all(key, &r);
-                self.map.insert(key, r);
-                continue;
-            }
-            misses.push((key, job.clone()));
         }
 
-        let workers = self
-            .jobs
-            .or_else(default_jobs)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            })
-            .min(misses.len().max(1));
-
-        if workers <= 1 || misses.len() <= 1 {
-            for (key, job) in &misses {
-                if self.verbose {
-                    eprintln!("[h2] running {} / {:?} / {:?}", job.mix.name, job.kind, job.parts);
-                }
-                let cfg = self.effective_cfg(job);
-                let r = execute(&cfg, job);
-                self.admit(*key, &r);
+        let (trace_sample, verbose) = (self.trace_sample, self.verbose);
+        let workers = match misses.len() {
+            0 | 1 => 1,
+            n => self.workers().min(n),
+        };
+        if workers == 1 {
+            for &i in &misses {
+                let (report, wall_s) = execute(&jobs[i], trace_sample, verbose);
+                self.admit(keys[i], report);
+                on_done(i, Provenance::Executed { wall_s }, &self.map[&keys[i]]);
             }
         } else {
             let next = AtomicUsize::new(0);
-            let (tx, rx) = mpsc::channel::<(usize, RunReport)>();
-            let misses_ref = &misses;
-            let trace_sample = self.trace_sample;
+            let (tx, rx) = mpsc::channel();
+            let misses = &misses;
             std::thread::scope(|s| {
                 for _ in 0..workers {
-                    let tx = tx.clone();
-                    let next = &next;
-                    s.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((_, job)) = misses_ref.get(i) else { break };
-                        let mut cfg = job.cfg.clone();
-                        if trace_sample.is_some() {
-                            cfg.trace_sample = trace_sample;
-                        }
-                        let r = execute(&cfg, job);
-                        if tx.send((i, r)).is_err() {
-                            break;
+                    let (tx, next) = (tx.clone(), &next);
+                    s.spawn(move || {
+                        while let Some(&i) = misses.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            if tx.send((i, execute(&jobs[i], trace_sample, verbose))).is_err() {
+                                break;
+                            }
                         }
                     });
                 }
                 drop(tx);
-                for (i, r) in rx {
-                    self.admit(misses_ref[i].0, &r);
+                for (i, (report, wall_s)) in rx {
+                    self.admit(keys[i], report);
+                    on_done(i, Provenance::Executed { wall_s }, &self.map[&keys[i]]);
                 }
             });
         }
-        jobs.iter().map(|j| self.map[&j.key()].clone()).collect()
+        keys.iter().map(|k| self.map[k].clone()).collect()
     }
 
-    /// Number of distinct cached runs in memory.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing has been run yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+    /// The report cached in memory under `key`, without counting a hit.
+    pub(crate) fn get(&self, key: u128) -> Option<&RunReport> {
+        self.map.get(&key)
     }
 
     /// One-line summary of cache activity for CLI output.
@@ -489,7 +465,7 @@ mod tests {
     fn batch_returns_in_order() {
         let mut c = RunCache::new();
         let jobs = vec![tiny_job(PolicyKind::NoPart), tiny_job(PolicyKind::WayPart)];
-        let rs = c.run_batch(&jobs);
+        let rs = c.run_batch(&jobs, |_, _, _| {});
         assert_eq!(rs.len(), 2);
         assert_eq!(rs[0].policy, "Baseline");
         assert_eq!(rs[1].policy, "WayPart");
@@ -499,7 +475,7 @@ mod tests {
     fn batch_dedups_identical_jobs() {
         let mut c = RunCache::new();
         let j = tiny_job(PolicyKind::NoPart);
-        let rs = c.run_batch(&[j.clone(), j.clone(), j.clone(), tiny_job(PolicyKind::WayPart)]);
+        let rs = c.run_batch(&[j.clone(), j.clone(), j.clone(), tiny_job(PolicyKind::WayPart)], |_, _, _| {});
         assert_eq!(rs.len(), 4);
         assert_eq!(c.executed, 2, "duplicates collapsed before dispatch");
         assert_eq!(c.deduped, 2);
@@ -512,11 +488,69 @@ mod tests {
         let mut c = RunCache::new();
         c.set_jobs(1);
         let jobs = vec![tiny_job(PolicyKind::NoPart), tiny_job(PolicyKind::WayPart)];
-        let rs = c.run_batch(&jobs);
+        let rs = c.run_batch(&jobs, |_, _, _| {});
         assert_eq!(rs.len(), 2);
         assert_eq!(c.executed, 2);
         assert_eq!(rs[0].policy, "Baseline");
         assert_eq!(rs[1].policy, "WayPart");
+    }
+
+    fn seeded_jobs(n: u64) -> Vec<Job> {
+        (0..n)
+            .map(|seed| {
+                let mut cfg = SystemConfig::tiny();
+                cfg.seed = seed;
+                Job::new(&cfg, &Mix::by_name("C1").unwrap(), PolicyKind::NoPart)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_order_and_callbacks_are_independent_of_workers() {
+        let batch = seeded_jobs(6);
+        let mut seq_cache = RunCache::new();
+        seq_cache.set_jobs(1);
+        let seq = seq_cache.run_batch(&batch, |_, _, _| {});
+        for workers in [1, 2, 4] {
+            let mut c = RunCache::new();
+            c.set_jobs(workers);
+            let mut seen = vec![0; batch.len()];
+            let par = c.run_batch(&batch, |i, source, r| {
+                assert!(matches!(source, Provenance::Executed { wall_s } if wall_s >= 0.0));
+                assert_eq!(r.cpu_instr, seq[i].cpu_instr, "callback carries job {i}'s report");
+                seen[i] += 1;
+            });
+            assert_eq!(seen, vec![1; batch.len()], "on_done fires once per job");
+            assert_eq!(c.executed, 6);
+            for (a, b) in seq.iter().zip(&par) {
+                assert_eq!(a.cpu_instr, b.cpu_instr, "workers={workers}");
+                assert_eq!(a.epoch_trace, b.epoch_trace, "workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn executed_jobs_are_durable_before_on_done() {
+        let dir = tmp_dir("durable");
+        let batch = seeded_jobs(3);
+        let mut c = RunCache::with_disk_dir(&dir).unwrap();
+        c.set_jobs(2);
+        // A second handle on the same store: "anyone else" reading it.
+        let reader = ShardedStore::open(&dir).unwrap();
+        c.run_batch(&batch, |i, source, _| {
+            assert!(matches!(source, Provenance::Executed { .. }));
+            assert!(reader.load(batch[i].key()).is_some(), "job {i} published before on_done");
+        });
+        assert_eq!(c.executed, 3);
+        let mut warm = RunCache::with_disk_dir(&dir).unwrap();
+        warm.set_jobs(2);
+        let mut disk = 0;
+        let rs = warm.run_batch(&batch, |_, source, _| {
+            assert_eq!(source, Provenance::DiskHit);
+            disk += 1;
+        });
+        assert_eq!((disk, warm.executed, warm.disk_hits, rs.len()), (3, 0, 3, 3));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -554,7 +588,7 @@ mod tests {
 
         // A batch over the same job also comes from disk.
         let mut c3 = RunCache::with_disk_dir(&dir).unwrap();
-        let rs = c3.run_batch(&[j.clone(), j.clone()]);
+        let rs = c3.run_batch(&[j.clone(), j.clone()], |_, _, _| {});
         assert_eq!(c3.executed, 0);
         assert_eq!(c3.disk_hits, 1);
         // The duplicate lands after the disk promotion, so it counts as a
@@ -609,13 +643,13 @@ mod tests {
         let j = tiny_job(PolicyKind::NoPart);
         {
             let mut c = RunCache::with_disk_dir(&dir).unwrap();
-            c.run_batch(std::slice::from_ref(&j));
+            c.run_batch(std::slice::from_ref(&j), |_, _, _| {});
             assert_eq!(c.executed, 1);
         }
         let trace_dir = tmp_dir("trace-batch-out");
         let mut c2 = RunCache::with_disk_dir(&dir).unwrap();
         c2.set_trace_dir(&trace_dir, 4).unwrap();
-        let rs = c2.run_batch(&[j.clone(), j.clone()]);
+        let rs = c2.run_batch(&[j.clone(), j.clone()], |_, _, _| {});
         assert_eq!(c2.executed, 1, "batch re-executes the untraced entry");
         assert!(rs.iter().all(|r| r.trace.is_some()));
         let _ = std::fs::remove_dir_all(&dir);

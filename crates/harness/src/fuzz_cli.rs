@@ -28,9 +28,6 @@ pub struct FuzzArgs {
     pub out: PathBuf,
     /// Replay a committed reproducer instead of fuzzing.
     pub replay: Option<PathBuf>,
-    /// Worker-pool cap applied process-wide (the fuzz oracles build
-    /// internal run caches; `--jobs 1` makes the whole campaign serial).
-    pub jobs: Option<usize>,
 }
 
 impl Default for FuzzArgs {
@@ -41,7 +38,6 @@ impl Default for FuzzArgs {
             time_budget: None,
             out: PathBuf::from("repro.json"),
             replay: None,
-            jobs: None,
         }
     }
 }
@@ -88,19 +84,9 @@ impl FuzzArgs {
                 }
                 "--out" => out.out = PathBuf::from(value("--out")?),
                 "--replay" => out.replay = Some(PathBuf::from(value("--replay")?)),
-                "--jobs" => {
-                    let v = value("--jobs")?;
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| format!("--jobs needs an unsigned integer, got '{v}'"))?;
-                    if n == 0 {
-                        return Err("--jobs must be > 0 (zero workers run nothing)".into());
-                    }
-                    out.jobs = Some(n);
-                }
                 other => {
                     return Err(format!(
-                        "unknown argument '{other}' (usage: h2 fuzz [--seeds N] [--start-seed N] [--time-budget SECS] [--jobs N] [--out FILE] | h2 fuzz --replay FILE)"
+                        "unknown argument '{other}' (usage: h2 fuzz [--seeds N] [--start-seed N] [--time-budget SECS] [--out FILE] | h2 fuzz --replay FILE)"
                     ))
                 }
             }
@@ -184,9 +170,6 @@ pub fn cmd_fuzz(args: &[String]) -> i32 {
             return 2;
         }
     };
-    if let Some(n) = parsed.jobs {
-        crate::cache::set_default_jobs(n);
-    }
     let hooks = oracle_hooks();
 
     if let Some(path) = &parsed.replay {
@@ -304,25 +287,13 @@ mod tests {
             "--time-budget needs a whole number of seconds, got '5m'"
         );
         assert_eq!(parse(&["--seeds"]).unwrap_err(), "--seeds needs an argument");
-        assert_eq!(
-            parse(&["--jobs", "0"]).unwrap_err(),
-            "--jobs must be > 0 (zero workers run nothing)"
-        );
-        assert_eq!(
-            parse(&["--jobs", "four"]).unwrap_err(),
-            "--jobs needs an unsigned integer, got 'four'"
-        );
-    }
-
-    #[test]
-    fn jobs_flag_parses() {
-        assert_eq!(parse(&["--jobs", "4"]).unwrap().jobs, Some(4));
-        assert_eq!(parse(&[]).unwrap().jobs, None);
     }
 
     #[test]
     fn rejects_unknown_and_conflicting_arguments() {
         assert!(parse(&["--sedes", "50"]).unwrap_err().starts_with("unknown argument '--sedes'"));
+        // Fuzz cases run one at a time; there is no worker pool to size.
+        assert!(parse(&["--jobs", "2"]).unwrap_err().starts_with("unknown argument '--jobs'"));
         assert_eq!(
             parse(&["--replay", "r.json", "--seeds", "5"]).unwrap_err(),
             "--replay and --seeds are mutually exclusive (a replay runs exactly one case)"

@@ -53,6 +53,21 @@ pub const ALL_EXPERIMENTS: [&str; 12] = [
     "extensions", "verify",
 ];
 
+/// Remove `flag <value>` from anywhere in `args` and return the value
+/// (`None` when the flag is absent). Errors when the flag is the last
+/// token, i.e. its value is missing.
+pub fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    if i + 1 >= args.len() {
+        return Err(format!("{flag} needs an argument"));
+    }
+    let value = args.remove(i + 1);
+    args.remove(i);
+    Ok(Some(value))
+}
+
 /// Check every requested experiment id up front, so a typo in the last id
 /// fails fast instead of surfacing after the earlier experiments ran.
 pub fn validate_run_ids(ids: &[&str]) -> Result<(), String> {
@@ -68,6 +83,16 @@ pub fn validate_run_ids(ids: &[&str]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn take_flag_removes_the_flag_and_its_value() {
+        let mut args: Vec<String> = ["sweep", "--out", "p.jsonl", "s.json"].map(String::from).into();
+        assert_eq!(take_flag(&mut args, "--out").unwrap().as_deref(), Some("p.jsonl"));
+        assert_eq!(args, ["sweep", "s.json"]);
+        assert_eq!(take_flag(&mut args, "--jobs").unwrap(), None);
+        args.push("--jobs".into());
+        assert_eq!(take_flag(&mut args, "--jobs").unwrap_err(), "--jobs needs an argument");
+    }
 
     #[test]
     fn run_ids_are_validated_up_front() {

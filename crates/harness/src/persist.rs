@@ -1,26 +1,20 @@
-//! The persistent on-disk tier of the run cache.
+//! The entry codec of the persistent run store, and its cache tag.
 //!
-//! Layout: one file per cached run under the cache directory (default
-//! `results/.runcache/`), named `<shard>/<032x-key>.h2r` where `<shard>`
-//! is the top byte of the key in hex (256 shards; see
-//! [`crate::sweep::store`] for the concurrency and crash-safety design),
-//! plus a `VERSION` file holding the cache tag. Entries are a small
+//! Each run the store holds ([`crate::sweep::store::ShardedStore`], which
+//! owns the on-disk layout and its concurrency story) is a small
 //! hand-rolled little-endian binary encoding of [`RunReport`] behind a
 //! `H2RC` magic + tag header (no serde — the workspace builds with zero
 //! external dependencies).
 //!
 //! Invalidation rule: the tag couples a hand-bumped schema number with the
-//! crate version. When the directory's `VERSION` (or an entry's header)
+//! crate version. When the store's `VERSION` file (or an entry's header)
 //! does not match the running binary's tag, the stale entries are removed
 //! wholesale and the cache restarts cold. Bump [`SCHEMA_VERSION`] whenever
 //! simulator behaviour or this encoding changes.
 
-use crate::sweep::store::ShardedStore;
 use h2_sim_core::trace_span::{BlameCause, Span, SpanInterval, MAX_SPANS};
 use h2_sim_core::{LogHistogram, MetricsRegistry};
 use h2_system::report::{EpochFrame, EpochRecord, RunReport, RunTelemetry, RunTrace, TenantSlo};
-use std::io;
-use std::path::Path;
 
 /// Entry-file magic.
 const MAGIC: [u8; 4] = *b"H2RC";
@@ -28,7 +22,9 @@ const MAGIC: [u8; 4] = *b"H2RC";
 /// Bump on any change to simulator results or to the encoding below.
 /// v3: the optional request-span trace section (`RunTrace`).
 /// v4: the per-tenant SLO section (`RunReport::tenants`).
-pub const SCHEMA_VERSION: u32 = 4;
+/// v5: drops stores written by the old sweep pool, which filed the
+/// placeholder mix's report under scenario job keys.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// The full cache tag: schema + code revision (crate version).
 pub fn cache_tag() -> String {
@@ -543,61 +539,10 @@ pub(crate) fn decode_report(bytes: &[u8], tag: &str) -> Option<RunReport> {
     })
 }
 
-// --- the disk tier --------------------------------------------------------
-
-/// A directory of persisted runs, validated against [`cache_tag`].
-///
-/// Since the sweep-service work this is a thin wrapper over the sharded,
-/// concurrent-safe store ([`crate::sweep::store::ShardedStore`]): entries
-/// live in 256 key-prefix shard directories, publishes are atomic with
-/// thread-unique temp names, damaged entries are quarantined as `*.bad`,
-/// and a per-shard index feeds the LRU evictor (`h2 cache gc`). The flat
-/// single-directory layout written by older revisions is migrated on open.
-#[derive(Debug)]
-pub struct DiskTier {
-    inner: ShardedStore,
-}
-
-impl DiskTier {
-    /// Open (creating if needed) the tier at `dir`. A tag mismatch wipes
-    /// stale entries so the cache restarts cold instead of serving results
-    /// from an older simulator revision.
-    pub fn open(dir: &Path) -> io::Result<Self> {
-        Ok(Self { inner: ShardedStore::open(dir)? })
-    }
-
-    /// The directory this tier lives in.
-    pub fn dir(&self) -> &Path {
-        self.inner.dir()
-    }
-
-    /// Load a persisted run, if present and valid. Damaged entries are
-    /// quarantined and read as misses.
-    pub fn load(&self, key: u128) -> Option<RunReport> {
-        self.inner.load(key)
-    }
-
-    /// Persist a run (atomically: write a uniquely named temp file, then
-    /// rename, so a concurrent reader or a crash never sees a
-    /// half-written entry).
-    pub fn store(&self, key: u128, report: &RunReport) -> io::Result<()> {
-        self.inner.store(key, report)
-    }
-
-    /// Number of entries currently on disk.
-    pub fn entries(&self) -> usize {
-        self.inner.entries()
-    }
-
-    /// The underlying sharded store (stats, gc, fault injection).
-    pub fn sharded(&self) -> &ShardedStore {
-        &self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::store::ShardedStore;
     use h2_system::{run_sim, PolicyKind, SystemConfig};
     use h2_trace::Mix;
     use std::fs;
@@ -711,29 +656,15 @@ mod tests {
     }
 
     #[test]
-    fn disk_tier_stores_and_loads() {
+    fn store_roundtrip_is_lossless() {
         let dir = tmp_dir("roundtrip");
-        let tier = DiskTier::open(&dir).unwrap();
+        let store = ShardedStore::open(&dir).unwrap();
         let r = sample_report();
-        assert!(tier.load(7).is_none());
-        tier.store(7, &r).unwrap();
-        assert_eq!(tier.entries(), 1);
-        let back = tier.load(7).expect("hit");
+        assert!(store.load(7).is_none());
+        store.store(7, &r).unwrap();
+        assert_eq!(store.entries(), 1);
+        let back = store.load(7).expect("hit");
         assert_reports_equal(&r, &back);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn version_mismatch_wipes_entries() {
-        let dir = tmp_dir("wipe");
-        let tier = DiskTier::open(&dir).unwrap();
-        tier.store(1, &sample_report()).unwrap();
-        assert_eq!(tier.entries(), 1);
-        // Simulate an older binary's cache.
-        fs::write(dir.join("VERSION"), "schema0+v0.0.0").unwrap();
-        let tier2 = DiskTier::open(&dir).unwrap();
-        assert_eq!(tier2.entries(), 0, "stale entries removed");
-        assert!(tier2.load(1).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -2,30 +2,28 @@
 //!
 //! Takes a first-class JSON sweep spec ([`spec::SweepSpec`]): parameter
 //! grids, seeded random search, or a hill-climb over a named report
-//! metric. Expands it into jobs, deduplicates them by their u128 cache
-//! keys, runs the misses across a work-stealing worker pool
-//! ([`scheduler`]) backed by the sharded crash-safe run store
-//! ([`store::ShardedStore`]), streams JSONL progress as jobs finish, and
-//! ends with a summary table (stdout + `results/sweeps/<name>.csv`).
+//! metric. Expands it into jobs and runs each batch through the one job
+//! executor, [`RunCache::run_batch`] (deduplication by u128 cache key,
+//! the sharded crash-safe run store [`store::ShardedStore`], a worker
+//! pool), streams JSONL progress as jobs finish, and ends with a summary
+//! table (stdout + `results/sweeps/<name>.csv`).
 //!
 //! The summary table contains only deterministic fields (parameters, mix,
 //! policy, key, metrics) in expansion order, so a warm re-run — any worker
-//! count, any steal order, any cache state — renders byte-identically.
+//! count, any completion order, any cache state — renders byte-identically.
 //! Wall-clock and hit/miss provenance live only in the JSONL progress
 //! stream and the *timing* table (`sweep_<name>_timing.csv`, completion
 //! order), both of which are allowed to differ between runs.
 
-pub mod scheduler;
 pub mod spec;
 pub mod store;
 
-use crate::cache::Job;
-use crate::persist::DiskTier;
+use crate::cache::{Provenance, RunCache};
 use crate::table::Table;
+use crate::take_flag;
 use h2_system::RunReport;
-use scheduler::{Done, PoolStats, Source};
 use spec::{Search, SweepPoint, SweepSpec};
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -43,10 +41,12 @@ pub struct SweepOutcome {
     pub jobs: usize,
     /// Distinct job keys among them.
     pub unique: usize,
-    /// Duplicate jobs collapsed before dispatch.
+    /// Duplicate jobs collapsed before dispatch (`jobs - unique`).
     pub deduped: usize,
-    /// Worker-pool counters summed over all batches.
-    pub stats: PoolStats,
+    /// Jobs simulated.
+    pub executed: usize,
+    /// Jobs replayed from the persistent store.
+    pub disk_hits: usize,
 }
 
 impl SweepOutcome {
@@ -54,47 +54,33 @@ impl SweepOutcome {
     /// warm re-run).
     pub fn summary_line(&self) -> String {
         format!(
-            "{} points, {} jobs ({} unique, {} deduped): {} executed, {} disk hits, {} steals",
-            self.points,
-            self.jobs,
-            self.unique,
-            self.deduped,
-            self.stats.executed,
-            self.stats.disk_hits,
-            self.stats.steals
+            "{} points, {} jobs ({} unique, {} deduped): {} executed, {} disk hits",
+            self.points, self.jobs, self.unique, self.deduped, self.executed, self.disk_hits
         )
     }
 }
 
-/// Shared state threaded through expansion: accumulated reports by key,
-/// pool counters, and the JSONL progress sink.
-struct Engine<'a> {
-    spec: &'a SweepSpec,
-    tier: Option<&'a DiskTier>,
-    workers: usize,
-    metric: String,
-    results: HashMap<u128, RunReport>,
-    stats: PoolStats,
-    jobs: usize,
-    deduped: usize,
-    progress: &'a mut dyn Write,
+/// The JSONL progress stream and the timing rows, fed one finished job at
+/// a time.
+struct Progress<'a> {
+    sink: &'a mut dyn Write,
     /// Rows for the timing table, appended in completion order.
     timing_rows: Vec<Vec<String>>,
     /// Worker-side wall seconds summed over executed jobs.
     exec_wall_s: f64,
 }
 
-impl Engine<'_> {
+impl Progress<'_> {
     /// JSONL progress events are best-effort: a full disk must not kill a
     /// half-finished campaign whose results are safely in the store.
     fn emit(&mut self, line: &str) {
-        let _ = writeln!(self.progress, "{line}");
+        let _ = writeln!(self.sink, "{line}");
     }
 
-    fn emit_done(&mut self, done: &Done, key: u128, point: &SweepPoint) {
-        let source = match done.source {
-            Source::Executed => "executed",
-            Source::DiskHit => "disk",
+    fn job_done(&mut self, key: u128, point: &SweepPoint, source: Provenance, report: &RunReport) {
+        let (source, wall_s) = match source {
+            Provenance::Executed { wall_s } => ("executed", wall_s),
+            Provenance::DiskHit => ("disk", 0.0),
         };
         let mut params = h2_sim_core::Json::obj();
         for (n, v) in &point.params {
@@ -103,104 +89,77 @@ impl Engine<'_> {
         let event = h2_sim_core::Json::obj()
             .field("event", "job")
             .field("key", format!("{key:032x}").as_str())
-            .field("mix", done.report.mix.as_str())
-            .field("policy", done.report.policy.as_str())
+            .field("mix", report.mix.as_str())
+            .field("policy", report.policy.as_str())
             .field("params", params)
             .field("source", source)
-            .field("weighted_ipc", done.report.weighted_ipc())
-            .field("wall_s", done.wall_s)
-            .field("events", done.report.events_processed)
-            .field("events_per_sec", done.report.events_per_sec);
+            .field("weighted_ipc", report.weighted_ipc())
+            .field("wall_s", wall_s)
+            .field("events", report.events_processed)
+            .field("events_per_sec", report.events_per_sec);
         self.emit(&event.to_string_compact());
-        self.exec_wall_s += done.wall_s;
+        self.exec_wall_s += wall_s;
         self.timing_rows.push(vec![
             format!("{key:032x}"),
-            done.report.mix.clone(),
-            done.report.policy.clone(),
+            report.mix.clone(),
+            report.policy.clone(),
             source.to_string(),
-            format!("{:.6}", done.wall_s),
-            done.report.events_processed.to_string(),
-            format!("{:.0}", done.report.events_per_sec),
+            format!("{wall_s:.6}"),
+            report.events_processed.to_string(),
+            format!("{:.0}", report.events_per_sec),
         ]);
     }
+}
 
-    /// Run every job of `points` that is not already in `results`, one
-    /// work-stealing batch, and return the per-point mean of the target
-    /// metric (the hill-climb objective; ignored for grid/random).
+/// Shared state threaded through expansion: the run cache every batch
+/// goes through, the job count, and the progress sink.
+struct Engine<'a> {
+    spec: &'a SweepSpec,
+    cache: &'a mut RunCache,
+    metric: String,
+    jobs: usize,
+    progress: Progress<'a>,
+}
+
+impl Engine<'_> {
+    /// Run every job of `points` as one [`RunCache::run_batch`] and return
+    /// the per-point mean of the target metric (the hill-climb objective;
+    /// ignored for grid/random).
     fn run_points(&mut self, points: &[SweepPoint]) -> Result<Vec<f64>, String> {
-        // Per-point job lists, then one deduplicated dispatch batch.
-        let mut point_keys: Vec<Vec<u128>> = Vec::with_capacity(points.len());
-        let mut batch: Vec<(u128, Job)> = Vec::new();
+        let mut batch = Vec::new();
         let mut batch_point: Vec<usize> = Vec::new(); // batch idx → point idx
-        let mut pending: std::collections::HashSet<u128> = std::collections::HashSet::new();
         for (pi, point) in points.iter().enumerate() {
             let jobs = self.spec.jobs_for_point(point)?;
-            let mut keys = Vec::with_capacity(jobs.len());
-            for job in jobs {
-                let key = job.key();
-                keys.push(key);
-                self.jobs += 1;
-                if self.results.contains_key(&key) || !pending.insert(key) {
-                    self.deduped += 1;
-                } else {
-                    batch.push((key, job));
-                    batch_point.push(pi);
-                }
-            }
-            point_keys.push(keys);
+            batch_point.extend(std::iter::repeat_n(pi, jobs.len()));
+            batch.extend(jobs);
         }
-
-        let mut dones: Vec<Done> = Vec::with_capacity(batch.len());
-        let (reports, stats) =
-            scheduler::run_batch(&batch, self.tier, self.workers, |done| {
-                // Emitting from inside the callback would need &mut self
-                // while `batch` is borrowed; stash completions and stream
-                // them right after the pool drains.
-                dones.push(Done {
-                    idx: done.idx,
-                    source: done.source,
-                    wall_s: done.wall_s,
-                    report: done.report.clone(),
-                });
-            });
-        for done in &dones {
-            let key = batch[done.idx].0;
-            let point = &points[batch_point[done.idx]];
-            self.emit_done(done, key, point);
-        }
-        self.stats.executed += stats.executed;
-        self.stats.disk_hits += stats.disk_hits;
-        self.stats.steals += stats.steals;
-        for ((key, _), report) in batch.iter().zip(reports) {
-            self.results.insert(*key, report);
-        }
+        self.jobs += batch.len();
+        let progress = &mut self.progress;
+        let reports = self.cache.run_batch(&batch, |i, source, report| {
+            progress.job_done(batch[i].key(), &points[batch_point[i]], source, report);
+        });
 
         // Per-point objective: mean of the metric over its mix×policy jobs.
-        point_keys
-            .iter()
-            .map(|keys| {
-                let mut sum = 0.0;
-                for key in keys {
-                    let r = &self.results[key];
-                    sum += r
-                        .metric(&self.metric)
-                        .ok_or_else(|| format!("unknown metric '{}'", self.metric))?;
-                }
-                Ok(sum / keys.len().max(1) as f64)
-            })
-            .collect()
+        let mut sums = vec![(0.0, 0usize); points.len()];
+        for (r, &pi) in reports.iter().zip(&batch_point) {
+            sums[pi].0 += r
+                .metric(&self.metric)
+                .ok_or_else(|| format!("unknown metric '{}'", self.metric))?;
+            sums[pi].1 += 1;
+        }
+        Ok(sums.iter().map(|&(sum, n)| sum / n.max(1) as f64).collect())
     }
 }
 
 /// Run a sweep: expand, execute, stream progress, summarise.
 ///
-/// `tier` is the persistent store (None = execute everything in memory);
-/// `workers` caps the pool; `progress` receives one JSON object per line
-/// (a `spec` header, a `job` event per unique job, a `summary` trailer).
+/// Every job goes through `cache` (its persistent tier, if any, and its
+/// [`RunCache::set_jobs`] worker cap); `progress` receives one JSON object
+/// per line (a `spec` header, a `job` event per executed or disk-replayed
+/// job, a `summary` trailer).
 pub fn run_sweep(
     spec: &SweepSpec,
-    tier: Option<&DiskTier>,
-    workers: usize,
+    cache: &mut RunCache,
     progress: &mut dyn Write,
 ) -> Result<SweepOutcome, String> {
     spec.validate()?;
@@ -208,18 +167,13 @@ pub fn run_sweep(
         Search::HillClimb { metric, .. } => metric.clone(),
         _ => "weighted_ipc".to_string(),
     };
+    let (executed0, disk_hits0) = (cache.executed, cache.disk_hits);
     let mut engine = Engine {
         spec,
-        tier,
-        workers,
+        cache,
         metric: metric.clone(),
-        results: HashMap::new(),
-        stats: PoolStats::default(),
         jobs: 0,
-        deduped: 0,
-        progress,
-        timing_rows: Vec::new(),
-        exec_wall_s: 0.0,
+        progress: Progress { sink: progress, timing_rows: Vec::new(), exec_wall_s: 0.0 },
     };
     let t0 = std::time::Instant::now();
     let header = h2_sim_core::Json::obj()
@@ -228,10 +182,10 @@ pub fn run_sweep(
         .field("kind", spec.kind())
         .field("mixes", spec.mixes.len() as u64)
         .field("policies", spec.policies.len() as u64);
-    engine.emit(&header.to_string_compact());
+    engine.progress.emit(&header.to_string_compact());
 
     // Hill-climb drives execution through the evaluator; grid/random
-    // expand statically and then run as one big work-stealing batch.
+    // expand statically and then run as one batch.
     let points = if matches!(spec.search, Search::HillClimb { .. }) {
         spec.expand(&mut |ps| engine.run_points(ps))?
     } else {
@@ -252,12 +206,12 @@ pub fn run_sweep(
         &format!("Sweep '{}' ({})", spec.name, spec.kind()),
         &header,
     );
-    let mut unique: std::collections::HashSet<u128> = std::collections::HashSet::new();
+    let mut unique: HashSet<u128> = HashSet::new();
     for point in &points {
         for job in spec.jobs_for_point(point)? {
             let key = job.key();
             unique.insert(key);
-            let r = &engine.results[&key];
+            let r = engine.cache.get(key).expect("every swept job is cached in memory");
             let mut row: Vec<String> =
                 point.params.iter().map(|(_, v)| v.to_string()).collect();
             row.push(r.mix.clone());
@@ -281,7 +235,7 @@ pub fn run_sweep(
         &format!("Sweep '{}' per-job timing and provenance", spec.name),
         &["key", "mix", "policy", "source", "wall_s", "events", "events_per_sec"],
     );
-    for row in std::mem::take(&mut engine.timing_rows) {
+    for row in std::mem::take(&mut engine.progress.timing_rows) {
         timing.row(row);
     }
 
@@ -291,8 +245,9 @@ pub fn run_sweep(
         points: points.len(),
         jobs: engine.jobs,
         unique: unique.len(),
-        deduped: engine.deduped,
-        stats: engine.stats,
+        deduped: engine.jobs - unique.len(),
+        executed: engine.cache.executed - executed0,
+        disk_hits: engine.cache.disk_hits - disk_hits0,
     };
     let trailer = h2_sim_core::Json::obj()
         .field("event", "summary")
@@ -300,12 +255,11 @@ pub fn run_sweep(
         .field("jobs", outcome.jobs as u64)
         .field("unique", outcome.unique as u64)
         .field("deduped", outcome.deduped as u64)
-        .field("executed", outcome.stats.executed as u64)
-        .field("disk_hits", outcome.stats.disk_hits as u64)
-        .field("steals", outcome.stats.steals)
+        .field("executed", outcome.executed as u64)
+        .field("disk_hits", outcome.disk_hits as u64)
         .field("wall_s", t0.elapsed().as_secs_f64())
-        .field("exec_wall_s", engine.exec_wall_s);
-    engine.emit(&trailer.to_string_compact());
+        .field("exec_wall_s", engine.progress.exec_wall_s);
+    engine.progress.emit(&trailer.to_string_compact());
     Ok(outcome)
 }
 
@@ -324,31 +278,45 @@ pub fn parse_bytes(s: &str) -> Result<u64, String> {
         .map(|n| n.saturating_mul(mult))
 }
 
-/// `h2 sweep <spec.json> [--out FILE]` — run a sweep campaign.
+const SWEEP_USAGE: &str = "usage: h2 sweep <spec.json> [--out FILE] [--jobs N]";
+
+/// Parsed `h2 sweep` arguments: the spec path, `--out` and `--jobs`.
+fn parse_sweep_args(args: &[String]) -> Result<(String, Option<PathBuf>, Option<usize>), String> {
+    let mut args = args.to_vec();
+    let out = take_flag(&mut args, "--out")?.map(PathBuf::from);
+    let jobs = match take_flag(&mut args, "--jobs")? {
+        None => None,
+        Some(v) => match v.parse::<usize>() {
+            Ok(0) => return Err("--jobs must be > 0 (zero workers run nothing)".into()),
+            Ok(n) => Some(n),
+            Err(_) => return Err(format!("--jobs needs an unsigned integer, got '{v}'")),
+        },
+    };
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unknown argument '{flag}' ({SWEEP_USAGE})"));
+    }
+    match args.as_slice() {
+        [spec_path] => Ok((spec_path.clone(), out, jobs)),
+        _ => Err(SWEEP_USAGE.into()),
+    }
+}
+
+/// `h2 sweep <spec.json> [--out FILE] [--jobs N]` — run a sweep campaign.
 ///
 /// Progress streams as JSONL to `--out` (default
 /// `results/sweeps/<name>.jsonl`); the summary table prints to stdout and
 /// lands in `results/sweeps/sweep_<name>.csv`, with per-job wall-clock and
 /// cache provenance beside it in `results/sweeps/sweep_<name>_timing.csv`.
-pub fn cmd_sweep(args: &[String], jobs: Option<usize>) -> i32 {
-    let mut args: Vec<String> = args.to_vec();
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .map(|i| {
-            if i + 1 >= args.len() {
-                eprintln!("--out needs a file argument");
-                std::process::exit(2);
-            }
-            let v = args.remove(i + 1);
-            args.remove(i);
-            PathBuf::from(v)
-        });
-    let [spec_path] = args.as_slice() else {
-        eprintln!("usage: h2 sweep <spec.json> [--out FILE] [--jobs N]");
-        return 2;
+/// `--jobs N` caps the worker pool (default: the CPU count).
+pub fn cmd_sweep(args: &[String]) -> i32 {
+    let (spec_path, out, jobs) = match parse_sweep_args(args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{e}");
+            return 2;
+        }
     };
-    let text = match std::fs::read_to_string(spec_path) {
+    let text = match std::fs::read_to_string(&spec_path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("cannot read {spec_path}: {e}");
@@ -363,16 +331,10 @@ pub fn cmd_sweep(args: &[String], jobs: Option<usize>) -> i32 {
         }
     };
 
-    let tier = crate::cache::resolve_cache_dir().and_then(|dir| match DiskTier::open(&dir) {
-        Ok(t) => Some(t),
-        Err(e) => {
-            eprintln!("[h2 sweep] run cache disabled ({}: {e})", dir.display());
-            None
-        }
-    });
-    let workers = jobs.unwrap_or_else(|| {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    });
+    let mut cache = RunCache::persistent();
+    if let Some(n) = jobs {
+        cache.set_jobs(n);
+    }
 
     let sweeps_dir = Path::new("results/sweeps");
     let out = out.unwrap_or_else(|| sweeps_dir.join(format!("{}.jsonl", spec.name)));
@@ -388,7 +350,7 @@ pub fn cmd_sweep(args: &[String], jobs: Option<usize>) -> i32 {
     };
 
     let t0 = std::time::Instant::now();
-    let outcome = match run_sweep(&spec, tier.as_ref(), workers, &mut progress) {
+    let outcome = match run_sweep(&spec, &mut cache, &mut progress) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("sweep '{}' failed: {e}", spec.name);
@@ -412,7 +374,7 @@ pub fn cmd_sweep(args: &[String], jobs: Option<usize>) -> i32 {
         "[h2 sweep] {} in {:.1}s ({} workers)",
         outcome.summary_line(),
         t0.elapsed().as_secs_f64(),
-        workers
+        cache.workers()
     );
     0
 }
@@ -420,24 +382,18 @@ pub fn cmd_sweep(args: &[String], jobs: Option<usize>) -> i32 {
 /// `h2 cache stats|gc` — inspect and size-bound the persistent run store.
 pub fn cmd_cache(args: &[String]) -> i32 {
     let mut args: Vec<String> = args.to_vec();
-    let take = |args: &mut Vec<String>, flag: &str| -> Option<String> {
-        let i = args.iter().position(|a| a == flag)?;
-        if i + 1 >= args.len() {
-            eprintln!("{flag} needs an argument");
-            std::process::exit(2);
+    let (dir, max_bytes) = match (take_flag(&mut args, "--dir"), take_flag(&mut args, "--max-bytes")) {
+        (Ok(dir), Ok(max_bytes)) => (dir, max_bytes),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("{e}");
+            return 2;
         }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Some(v)
     };
-    let dir = take(&mut args, "--dir").map(PathBuf::from).or_else(|| {
-        crate::cache::resolve_cache_dir()
-    });
+    let dir = dir.map(PathBuf::from).or_else(crate::cache::resolve_cache_dir);
     let Some(dir) = dir else {
         eprintln!("run cache is disabled (H2_RUNCACHE=off); pass --dir to target one");
         return 2;
     };
-    let max_bytes = take(&mut args, "--max-bytes");
     let usage = || {
         eprintln!("usage: h2 cache stats [--dir D] | h2 cache gc --max-bytes N[K|M|G] [--dir D]");
         2
@@ -514,15 +470,28 @@ mod tests {
         .unwrap()
     }
 
+    fn memory_cache(workers: usize) -> RunCache {
+        let mut cache = RunCache::new();
+        cache.set_jobs(workers);
+        cache
+    }
+
+    /// A fresh cache over the store at `dir`, as a new process opens it.
+    fn disk_cache(dir: &Path, workers: usize) -> RunCache {
+        let mut cache = RunCache::with_disk_dir(dir).unwrap();
+        cache.set_jobs(workers);
+        cache
+    }
+
     #[test]
     fn grid_sweep_runs_and_summarises() {
         let spec = grid_spec("unit");
         let mut jsonl = Vec::new();
-        let out = run_sweep(&spec, None, 2, &mut jsonl).unwrap();
+        let out = run_sweep(&spec, &mut memory_cache(2), &mut jsonl).unwrap();
         assert_eq!(out.points, 3);
         assert_eq!(out.jobs, 6);
         assert_eq!(out.unique, 6);
-        assert_eq!(out.stats.executed, 6);
+        assert_eq!(out.executed, 6);
         assert_eq!(out.table.rows.len(), 6);
         let text = String::from_utf8(jsonl).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -538,7 +507,7 @@ mod tests {
     fn timing_table_carries_wall_clock_and_provenance() {
         let spec = grid_spec("timing");
         let mut jsonl = Vec::new();
-        let out = run_sweep(&spec, None, 2, &mut jsonl).unwrap();
+        let out = run_sweep(&spec, &mut memory_cache(2), &mut jsonl).unwrap();
         assert_eq!(out.timing.rows.len(), 6, "one timing row per unique job");
         assert_eq!(
             out.timing.header,
@@ -563,14 +532,13 @@ mod tests {
     fn warm_rerun_is_fully_cached_and_byte_identical() {
         let dir = std::env::temp_dir().join(format!("h2-sweep-warm-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let tier = DiskTier::open(&dir).unwrap();
         let spec = grid_spec("warm");
-        let cold = run_sweep(&spec, Some(&tier), 2, &mut Vec::new()).unwrap();
-        assert_eq!(cold.stats.executed, 6);
+        let cold = run_sweep(&spec, &mut disk_cache(&dir, 2), &mut Vec::new()).unwrap();
+        assert_eq!(cold.executed, 6);
         for workers in [1, 3] {
-            let warm = run_sweep(&spec, Some(&tier), workers, &mut Vec::new()).unwrap();
-            assert_eq!(warm.stats.executed, 0, "workers={workers}");
-            assert_eq!(warm.stats.disk_hits, 6);
+            let warm = run_sweep(&spec, &mut disk_cache(&dir, workers), &mut Vec::new()).unwrap();
+            assert_eq!(warm.executed, 0, "workers={workers}");
+            assert_eq!(warm.disk_hits, 6);
             assert!(
                 warm.timing.rows.iter().all(|r| r[3] == "disk"),
                 "warm timing rows carry disk provenance"
@@ -592,15 +560,61 @@ mod tests {
             params: vec![spec::Axis { name: "seed".into(), values: vec![1, 2, 3, 4] }],
         };
         let mut jsonl = Vec::new();
-        let out = run_sweep(&spec, None, 2, &mut jsonl).unwrap();
+        let out = run_sweep(&spec, &mut memory_cache(2), &mut jsonl).unwrap();
         assert!(out.points >= 2, "start plus at least one neighbour batch");
-        assert_eq!(out.stats.executed, out.unique);
+        assert_eq!(out.executed, out.unique);
         // measured_cycles is a fixed window: every point scores the same,
         // so the climb stops after its first neighbour batch.
         let text = String::from_utf8(jsonl).unwrap();
         assert!(text.lines().last().unwrap().contains("\"event\":\"summary\""));
         // The metric column is present alongside weighted_ipc.
         assert!(out.table.header.iter().any(|h| h == "measured_cycles"));
+    }
+
+    #[test]
+    fn scenario_sweeps_run_the_scenario_not_the_placeholder_mix() {
+        let spec = SweepSpec::parse(
+            r#"{
+              "name": "sc",
+              "scale": "tiny",
+              "policies": ["NoPart"],
+              "base": {"warmup_cycles": 50000, "measure_cycles": 100000},
+              "scenario": {
+                "name": "pair",
+                "seed": 3,
+                "tenants": [
+                  {"name": "svc", "priority": 0, "cores": 1, "ctxs": 0,
+                   "cpu": ["gcc"], "gpu": [],
+                   "arrival": {"kind": "steady"}, "start": 0,
+                   "stop": null, "phase_cycles": null},
+                  {"name": "ml", "priority": 1, "cores": 0, "ctxs": 1,
+                   "cpu": [], "gpu": ["backprop"],
+                   "arrival": {"kind": "bursty", "on": 2000, "off": 1000},
+                   "start": 0, "stop": null, "phase_cycles": null}
+                ]
+              },
+              "search": {"kind": "grid", "params": {"scenario_seed": [1, 2]}}
+            }"#,
+        )
+        .unwrap();
+        let mut cache = memory_cache(2);
+        let out = run_sweep(&spec, &mut cache, &mut Vec::new()).unwrap();
+        assert_eq!(out.executed, 2);
+        let points = spec.expand(&mut |_| unreachable!()).unwrap();
+        let mut swept = Vec::new();
+        for point in &points {
+            let [job] = spec.jobs_for_point(point).unwrap().try_into().unwrap();
+            let r = cache.get(job.key()).unwrap().clone();
+            assert!(!r.tenants.is_empty(), "a scenario run reports per-tenant SLOs");
+            // The same job run on its own gives the same report.
+            let alone = RunCache::new().run(&job);
+            assert_eq!(r.weighted_ipc(), alone.weighted_ipc());
+            assert_eq!(r.events_processed, alone.events_processed);
+            assert_eq!(r.tenants, alone.tenants);
+            swept.push(r);
+        }
+        assert_ne!(swept[0].weighted_ipc(), swept[1].weighted_ipc(), "seeds differ");
+        assert_ne!(swept[0].events_processed, swept[1].events_processed);
     }
 
     #[test]

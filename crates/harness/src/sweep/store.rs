@@ -1,9 +1,9 @@
-//! The sharded, crash-safe persistent run store.
+//! The sharded, crash-safe persistent run store: the disk tier of
+//! [`crate::cache::RunCache`].
 //!
-//! This replaces the flat one-directory `.runcache` layout with a
-//! content-addressed store designed for *concurrent* writers — multiple
-//! worker threads in one sweep, multiple `h2` processes sharing a warm
-//! cache, and repeated CI runs — without corruption:
+//! It is designed for *concurrent* writers — multiple worker threads in
+//! one batch, multiple `h2` processes sharing a warm cache, and repeated
+//! CI runs — without corruption:
 //!
 //! - **256 key-prefix shards.** An entry for job key `k` lives at
 //!   `<root>/<hh>/<032x-k>.h2r` where `hh` is the top byte of the key in
@@ -23,7 +23,7 @@
 //! - **Per-shard lock files** (`<shard>/.lock`, created with `O_EXCL`,
 //!   stale-broken by age) serialise the *metadata* operations that rename
 //!   alone cannot make safe: index rewrites, eviction, and the open-time
-//!   wipe/migration. Entry reads and publishes themselves never block.
+//!   wipe. Entry reads and publishes themselves never block.
 //! - **Per-shard index files** record `(key, size, last-used)` so the LRU
 //!   evictor does not depend on filesystem atime (usually mounted
 //!   `relatime`). Index updates are best-effort: a missing or stale index
@@ -34,11 +34,8 @@
 //!   until the store fits the budget, and sweeps quarantine and stale
 //!   temp files.
 //!
-//! The binary entry codec and the `VERSION` invalidation rule are
-//! unchanged from [`crate::persist`]; this module only owns the on-disk
-//! *layout* and its concurrency story. [`crate::persist::DiskTier`] wraps
-//! this store so every existing `RunCache` user gets the sharded layout
-//! transparently (flat-layout entries are migrated on open).
+//! The binary entry codec and the `VERSION` tag live in
+//! [`crate::persist`]; this module owns only the on-disk *layout*.
 
 use crate::persist::{cache_tag, decode_report, encode_report};
 use h2_system::RunReport;
@@ -181,11 +178,10 @@ pub struct ShardedStore {
 
 impl ShardedStore {
     /// Open (creating if needed) the store at `root`. Under the store
-    /// lock: wipes all entries if the directory's `VERSION` does not match
-    /// the running binary's [`cache_tag`], and migrates any flat-layout
-    /// entries (`<root>/<key>.h2r` from older revisions) into their
-    /// shards. Concurrent opens are safe: the lock serialises the wipe,
-    /// and migration renames are atomic.
+    /// lock, wipes all entries if the directory's `VERSION` does not match
+    /// the running binary's [`cache_tag`], so the cache restarts cold
+    /// instead of serving results from an older simulator revision.
+    /// Concurrent opens are safe: the lock serialises the wipe.
     pub fn open(root: &Path) -> io::Result<Self> {
         fs::create_dir_all(root)?;
         let tag = cache_tag();
@@ -203,7 +199,6 @@ impl ShardedStore {
                 store.wipe_entries();
                 fs::write(&version_file, &store.tag)?;
             }
-            store.migrate_flat_entries();
         }
         Ok(store)
     }
@@ -241,8 +236,9 @@ impl ShardedStore {
         dirs
     }
 
-    /// Remove every entry (all shards plus any flat-layout leftovers).
-    /// Caller holds the store lock.
+    /// Remove every entry (all shards, plus entries at the root that
+    /// binaries before the sharded layout wrote). Caller holds the store
+    /// lock.
     fn wipe_entries(&self) {
         let mut dirs = self.shard_dirs();
         dirs.push(self.root.clone());
@@ -256,34 +252,6 @@ impl ShardedStore {
                 {
                     let _ = fs::remove_file(p);
                 }
-            }
-        }
-    }
-
-    /// Move flat-layout entries (`<root>/<key>.h2r`) into their shards.
-    /// Renames are atomic; a concurrent process that already migrated an
-    /// entry wins and the duplicate source is dropped. Caller holds the
-    /// store lock.
-    fn migrate_flat_entries(&self) {
-        let Ok(rd) = fs::read_dir(&self.root) else { return };
-        for entry in rd.flatten() {
-            let p = entry.path();
-            if !p.is_file() || p.extension().is_none_or(|e| e != "h2r") {
-                continue;
-            }
-            let Some(key) = p
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .and_then(|s| u128::from_str_radix(s, 16).ok())
-            else {
-                continue;
-            };
-            let dest = self.entry_path(key);
-            if fs::create_dir_all(self.shard_dir(key)).is_err() {
-                continue;
-            }
-            if dest.exists() || fs::rename(&p, &dest).is_err() {
-                let _ = fs::remove_file(&p);
             }
         }
     }
@@ -556,22 +524,18 @@ mod tests {
     }
 
     #[test]
-    fn flat_layout_migrates_on_open() {
-        let dir = tmp_dir("migrate");
-        // Seed a flat-layout cache: entry + VERSION at the root.
-        let flat = {
-            let store = ShardedStore::open(&dir).unwrap();
-            let r = sample_report();
-            store.store(42, &r).unwrap();
-            // Flatten it back out to simulate the old layout.
-            let sharded = store.entry_path(42);
-            let flat = dir.join(format!("{:032x}.h2r", 42u128));
-            fs::rename(&sharded, &flat).unwrap();
-            flat
-        };
+    fn version_mismatch_wipes_entries() {
+        let dir = tmp_dir("wipe");
         let store = ShardedStore::open(&dir).unwrap();
-        assert!(!flat.exists(), "flat entry migrated into its shard");
-        assert!(store.load(42).is_some(), "migrated entry still loads");
+        store.store(1, &sample_report()).unwrap();
+        // A root-level entry, as binaries before the sharded layout wrote.
+        fs::write(dir.join(format!("{:032x}.h2r", 2u128)), b"old").unwrap();
+        // Simulate an older binary's cache.
+        fs::write(dir.join("VERSION"), "schema0+v0.0.0").unwrap();
+        let reopened = ShardedStore::open(&dir).unwrap();
+        assert_eq!(reopened.entries(), 0, "stale entries removed");
+        assert!(reopened.load(1).is_none());
+        assert!(!dir.join(format!("{:032x}.h2r", 2u128)).exists(), "root entries wiped too");
         let _ = fs::remove_dir_all(&dir);
     }
 

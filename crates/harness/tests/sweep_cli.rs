@@ -2,10 +2,11 @@
 //!
 //! These run the real binary (cargo builds it for this package's
 //! integration tests and exposes it as `CARGO_BIN_EXE_h2`), so they cover
-//! the full path: spec file → engine → work-stealing pool → sharded store
-//! → JSONL progress → summary table — including the acceptance scenario:
-//! a cold sweep followed by a warm rerun that executes nothing and prints
-//! a byte-identical table, and two processes racing one store.
+//! the full path: spec file → engine → run cache worker pool → sharded
+//! store → JSONL progress → summary table — including the acceptance
+//! scenario: a cold sweep followed by a warm rerun that executes nothing
+//! and prints a byte-identical table, and two processes racing one store.
+//! They also pin which subcommands accept which flags.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -176,5 +177,37 @@ fn bad_specs_fail_fast_with_a_diagnostic() {
             "search":{"kind":"grid","params":{"seed":[1]}}}"#,
     );
     assert!(err.contains("unknown mix"), "{err}");
+    let _ = fs::remove_dir_all(&work);
+}
+
+#[test]
+fn flags_are_accepted_only_by_the_subcommands_they_configure() {
+    let work = scratch("flags");
+    let cache_dir = work.join("cache");
+    fs::write(work.join("spec.json"), SPEC_JSON).unwrap();
+    let exit_code = |args: &[&str]| -> Option<i32> {
+        Command::new(H2)
+            .args(args)
+            .current_dir(&work)
+            .env("H2_RUNCACHE", &cache_dir)
+            .output()
+            .unwrap()
+            .status
+            .code()
+    };
+    // `--jobs` sizes the sweep's worker pool and nothing else.
+    assert_eq!(exit_code(&["run", "--jobs", "2", "table1"]), Some(2));
+    assert_eq!(exit_code(&["--jobs", "2", "run", "table1"]), Some(2));
+    assert_eq!(exit_code(&["fuzz", "--jobs", "2"]), Some(2));
+    assert_eq!(exit_code(&["all", "--jobs", "2"]), Some(2));
+    // Run output flags are rejected by the other subcommands.
+    assert_eq!(exit_code(&["sweep", "spec.json", "--telemetry", "d"]), Some(2));
+    assert_eq!(exit_code(&["--trace", "d", "sweep", "spec.json"]), Some(2));
+    assert_eq!(exit_code(&["fuzz", "--profile", "d"]), Some(2));
+    assert_eq!(exit_code(&["cache", "stats", "--telemetry", "d"]), Some(2));
+    assert!(!work.join("d").exists(), "a rejected flag creates nothing");
+    // The supported spellings still work.
+    assert_eq!(exit_code(&["sweep", "spec.json", "--jobs", "2"]), Some(0));
+    assert_eq!(exit_code(&["run", "table1"]), Some(0));
     let _ = fs::remove_dir_all(&work);
 }

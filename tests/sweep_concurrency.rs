@@ -10,7 +10,6 @@
 use h2_harness::cache::{Job, RunCache};
 use h2_harness::sweep::store::ShardedStore;
 use h2_harness::sweep::{run_sweep, spec::SweepSpec};
-use h2_harness::persist::DiskTier;
 use h2_system::{PolicyKind, RunReport, SystemConfig};
 use h2_trace::Mix;
 use std::fs;
@@ -30,6 +29,14 @@ fn sample_report() -> RunReport {
     cfg.measure_cycles = 100_000;
     let mut cache = RunCache::new();
     cache.run(&Job::new(&cfg, &Mix::by_name("C1").unwrap(), PolicyKind::NoPart))
+}
+
+/// A fresh run cache over the store at `dir` with a `workers`-thread pool,
+/// as a new `h2 sweep --jobs workers` process would open it.
+fn disk_cache(dir: &Path, workers: usize) -> RunCache {
+    let mut cache = RunCache::with_disk_dir(dir).unwrap();
+    cache.set_jobs(workers);
+    cache
 }
 
 /// Files with extension `ext` anywhere in the store (shard dirs included).
@@ -140,21 +147,19 @@ fn gc_racing_writers_never_breaks_readers() {
 fn sweep_results_identical_sequential_vs_concurrent() {
     // The same spec, run sequentially cold, concurrently cold (fresh
     // store), and concurrently warm (shared store), must render the same
-    // summary bytes — worker count, steal order, and cache warmth are
-    // invisible in the output.
+    // summary bytes — worker count, completion order, and cache warmth
+    // are invisible in the output.
     let spec = SweepSpec::parse(SPEC_JSON).unwrap();
     let dir_seq = scratch("seq");
     let dir_par = scratch("par");
-    let seq_tier = DiskTier::open(&dir_seq).unwrap();
-    let par_tier = DiskTier::open(&dir_par).unwrap();
 
-    let seq = run_sweep(&spec, Some(&seq_tier), 1, &mut Vec::new()).unwrap();
-    assert_eq!(seq.stats.executed, 4);
-    let par_cold = run_sweep(&spec, Some(&par_tier), 4, &mut Vec::new()).unwrap();
-    assert_eq!(par_cold.stats.executed, 4);
-    let par_warm = run_sweep(&spec, Some(&par_tier), 4, &mut Vec::new()).unwrap();
-    assert_eq!(par_warm.stats.executed, 0, "warm rerun fully cached");
-    assert_eq!(par_warm.stats.disk_hits, 4);
+    let seq = run_sweep(&spec, &mut disk_cache(&dir_seq, 1), &mut Vec::new()).unwrap();
+    assert_eq!(seq.executed, 4);
+    let par_cold = run_sweep(&spec, &mut disk_cache(&dir_par, 4), &mut Vec::new()).unwrap();
+    assert_eq!(par_cold.executed, 4);
+    let par_warm = run_sweep(&spec, &mut disk_cache(&dir_par, 4), &mut Vec::new()).unwrap();
+    assert_eq!(par_warm.executed, 0, "warm rerun fully cached");
+    assert_eq!(par_warm.disk_hits, 4);
 
     assert_eq!(seq.table.render(), par_cold.table.render());
     assert_eq!(seq.table.render(), par_warm.table.render());
@@ -233,10 +238,9 @@ fn two_h2_processes_share_one_store_safely() {
     // An in-process warm sweep over the same store executes nothing and
     // reproduces the children's table.
     let spec = SweepSpec::parse(SPEC_JSON).unwrap();
-    let tier = DiskTier::open(&cache_dir).unwrap();
-    let warm = run_sweep(&spec, Some(&tier), 2, &mut Vec::new()).unwrap();
-    assert_eq!(warm.stats.executed, 0, "every child result was reused");
-    assert_eq!(warm.stats.disk_hits, 4);
+    let warm = run_sweep(&spec, &mut disk_cache(&cache_dir, 2), &mut Vec::new()).unwrap();
+    assert_eq!(warm.executed, 0, "every child result was reused");
+    assert_eq!(warm.disk_hits, 4);
     assert_eq!(format!("{}\n", warm.table.render()), table_of(&outputs[0]));
     let _ = fs::remove_dir_all(&work);
 }
