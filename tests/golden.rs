@@ -86,6 +86,21 @@ fn golden_fig9_hydrogen_c5() {
     );
 }
 
+/// The telemetry names that only appear at run time: per-channel token
+/// pools (`hmc.policy.tokens.ch{i}`) and the `trace.*` scope, which is
+/// appended to the timeline once the first sampled request completes.
+#[test]
+fn golden_perchan_tokens_c1_traced() {
+    let mut cfg = SystemConfig::tiny();
+    cfg.trace_sample = Some(64);
+    check(
+        "perchan_tokens_c1_traced",
+        &cfg,
+        "C1",
+        PolicyKind::HydrogenPerChannelTokens,
+    );
+}
+
 /// Zero-perturbation guard: enabling the tracing machinery at sample
 /// rate 0 (all hooks armed, nothing ever sampled) must leave the telemetry
 /// timeline byte-identical to the committed golden — i.e. tracing is pure
