@@ -31,11 +31,6 @@ pub enum Relation {
     /// `NoMigrate` (cache mode) performs no migrations, so the fast tier
     /// stays empty: no hits, no swaps, no victim write-backs.
     NoMigrateZero,
-    /// Re-running on the legacy string-keyed metrics path produces a
-    /// byte-identical report — the interned-handle fast path is a pure
-    /// observation-layer rewrite with no semantic freedom at all, so this
-    /// diff runs with *no* exclusions.
-    InternedMetrics,
     /// Re-running with the HMC's alloc-mask memoisation disabled produces
     /// a byte-identical report — the memo is a pure caching layer over
     /// `policy.alloc_mask`, valid because masks only change at
@@ -52,7 +47,6 @@ impl Relation {
             Relation::SoloSideZero => "solo-side-zero",
             Relation::EpochDouble => "epoch-double",
             Relation::NoMigrateZero => "no-migrate-zero",
-            Relation::InternedMetrics => "interned-metrics",
             Relation::MaskMemoOff => "mask-memo-off",
         }
     }
@@ -63,7 +57,6 @@ pub fn applicable(case: &FuzzCase) -> Vec<Relation> {
     let mut rels = vec![
         Relation::TelemetryOff,
         Relation::TraceFlip,
-        Relation::InternedMetrics,
         Relation::MaskMemoOff,
     ];
     if case.cpu.is_empty() || case.gpu.is_none() {
@@ -138,17 +131,6 @@ pub fn check(
                 )),
             }
         }
-        Relation::InternedMetrics => {
-            let variant = rerun(case, label, |cfg| cfg.string_metrics = true)?;
-            // No exclusions: the two metric paths must agree on every byte,
-            // telemetry and trace included.
-            match diff_reports_except(base, &variant, &[]) {
-                None => Ok(()),
-                Some(d) => Err(format!(
-                    "interned metrics diverge from the string path: {d}"
-                )),
-            }
-        }
         Relation::MaskMemoOff => {
             let variant = rerun(case, label, |cfg| cfg.mask_memo = false)?;
             match diff_reports_except(base, &variant, &[]) {
@@ -202,7 +184,6 @@ mod tests {
         c.flat = false;
         let rels = applicable(&c);
         assert!(rels.contains(&Relation::TelemetryOff));
-        assert!(rels.contains(&Relation::InternedMetrics));
         assert!(rels.contains(&Relation::MaskMemoOff));
         assert!(rels.contains(&Relation::EpochDouble));
         assert!(!rels.contains(&Relation::SoloSideZero));

@@ -430,21 +430,21 @@ impl PartitionPolicy for HydrogenPolicy {
     }
 
     fn collect_metrics(&self, m: &mut h2_sim_core::ScopedMetrics<'_>) {
-        m.inc("reconfigs", self.reconfigs);
-        m.inc("epochs", self.epoch_count);
+        m.set_counter("reconfigs", self.reconfigs);
+        m.set_counter("epochs", self.epoch_count);
         let mut t = m.scoped("tokens");
-        t.inc("granted", self.tokens.granted_total());
-        t.inc("spent", self.tokens.spent_total());
-        t.inc("discarded", self.tokens.discarded_total());
-        t.inc("denied", self.tokens.denied_total());
+        t.set_counter("granted", self.tokens.granted_total());
+        t.set_counter("spent", self.tokens.spent_total());
+        t.set_counter("discarded", self.tokens.discarded_total());
+        t.set_counter("denied", self.tokens.denied_total());
         t.set_gauge("available", self.tokens.available() as f64);
         t.set_gauge("level", self.tokens.level() as f64);
         if let Some(per) = &self.channel_tokens {
             for (i, b) in per.iter().enumerate() {
-                let mut c = t.scoped(&format!("ch{i}"));
-                c.inc("granted", b.granted_total());
-                c.inc("spent", b.spent_total());
-                c.inc("denied", b.denied_total());
+                let mut c = t.scoped(format_args!("ch{i}"));
+                c.set_counter("granted", b.granted_total());
+                c.set_counter("spent", b.spent_total());
+                c.set_counter("denied", b.denied_total());
             }
         }
     }

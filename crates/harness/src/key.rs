@@ -12,11 +12,8 @@
 //! [`SystemConfig::trace_sample`] (both are pure observations that never
 //! perturb timing — runs differing only in them are the same run; a traced
 //! replay of an untraced cache entry is handled by the cache's
-//! upgrade-on-miss rule, not by the key), [`SystemConfig::string_metrics`]
-//! (the string and interned telemetry paths are byte-identical by
-//! construction and by the equivalence suite), and
-//! [`SystemConfig::mask_memo`] (the memo is bit-identical to direct policy
-//! calls). The literal keys pinned by the tests below must never move
+//! upgrade-on-miss rule, not by the key) and [`SystemConfig::mask_memo`]
+//! (the memo is bit-identical to direct policy calls). The literal keys pinned by the tests below must never move
 //! without a [`KEY_SCHEMA_VERSION`] bump, or existing run stores go cold.
 
 use h2_system::{Participants, PolicyKind, SystemConfig};
@@ -143,8 +140,8 @@ fn encode_config(e: &mut KeyEncoder, c: &SystemConfig) {
     e.u64(c.warmup_cycles);
     e.u64(c.measure_cycles);
     e.u64(c.seed);
-    // `c.telemetry`, `c.trace_sample`, `c.string_metrics` and
-    // `c.mask_memo` intentionally excluded — see module docs.
+    // `c.telemetry`, `c.trace_sample` and `c.mask_memo` intentionally
+    // excluded — see module docs.
 }
 
 /// The canonical key of one (config, mix, policy, participants, scenario)
@@ -266,15 +263,6 @@ mod tests {
         let mut c = SystemConfig::tiny();
         let k0 = job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None);
         c.trace_sample = Some(64);
-        assert_eq!(job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None), k0);
-    }
-
-    #[test]
-    fn string_metrics_flag_does_not_change_the_key() {
-        let mix = Mix::by_name("C1").unwrap();
-        let mut c = SystemConfig::tiny();
-        let k0 = job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None);
-        c.string_metrics = true;
         assert_eq!(job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None), k0);
     }
 

@@ -169,6 +169,7 @@ fn encode_registry(e: &mut Enc, reg: &MetricsRegistry) {
 
 fn decode_registry(d: &mut Dec, limit: usize) -> Option<MetricsRegistry> {
     let mut reg = MetricsRegistry::new(true);
+    let mut m = reg.scoped("");
     let nc = d.u64()? as usize;
     if nc > limit {
         return None;
@@ -176,7 +177,7 @@ fn decode_registry(d: &mut Dec, limit: usize) -> Option<MetricsRegistry> {
     for _ in 0..nc {
         let n = d.str()?;
         let v = d.u64()?;
-        reg.inc(&n, v);
+        m.set_counter(&n, v);
     }
     let ng = d.u64()? as usize;
     if ng > limit {
@@ -185,7 +186,7 @@ fn decode_registry(d: &mut Dec, limit: usize) -> Option<MetricsRegistry> {
     for _ in 0..ng {
         let n = d.str()?;
         let v = d.f64()?;
-        reg.set_gauge(&n, v);
+        m.set_gauge(&n, v);
     }
     let nh = d.u64()? as usize;
     if nh > limit {
@@ -204,7 +205,7 @@ fn decode_registry(d: &mut Dec, limit: usize) -> Option<MetricsRegistry> {
             let b = d.u8()? as usize;
             buckets.push((b, d.u64()?));
         }
-        reg.merge_hist(&n, &LogHistogram::from_parts(count, sum, &buckets));
+        m.set_hist(&n, &LogHistogram::from_parts(count, sum, &buckets));
     }
     Some(reg)
 }

@@ -21,7 +21,7 @@ use h2_mem::MemCmd;
 use h2_sim_core::prof;
 use h2_sim_core::trace_span::{BlameClass, SpanId, TraceTag};
 use h2_sim_core::units::Cycles;
-use h2_sim_core::{CounterId, GaugeId, MetricsRegistry, SeededRng};
+use h2_sim_core::SeededRng;
 
 /// Token value for fire-and-forget commands not tied to a transaction
 /// (metadata write-backs).
@@ -152,45 +152,6 @@ impl HmcStats {
             self.fast_hits[i] as f64 / t as f64
         }
     }
-}
-
-/// Interned handles for one requester class's counters (see
-/// [`Hmc::intern_metrics`]).
-#[derive(Debug, Clone, Copy)]
-struct ClassMetricHandles {
-    accesses: CounterId,
-    fast_hits: CounterId,
-    fast_misses: CounterId,
-    migrations: CounterId,
-    bypasses: CounterId,
-    migrations_denied: CounterId,
-    buffer_denied: CounterId,
-}
-
-/// Dense metric handles covering the static (non-policy) portion of
-/// [`Hmc::collect_metrics`]. Produced once at system build by
-/// [`Hmc::intern_metrics`]; [`Hmc::record_metrics`] then stores every value
-/// with indexed writes — no hashing, no string formatting.
-#[derive(Debug, Clone)]
-pub struct HmcMetricHandles {
-    classes: [ClassMetricHandles; 2],
-    victim_writebacks: CounterId,
-    swaps: CounterId,
-    lazy_fixups: CounterId,
-    txns_started: CounterId,
-    txns_retired: CounterId,
-    inflight: GaugeId,
-    bg_txns: GaugeId,
-    rc_hits: CounterId,
-    rc_misses: CounterId,
-    rc_writebacks: CounterId,
-    meta_reads: CounterId,
-    meta_writebacks: CounterId,
-    occ_cpu: GaugeId,
-    occ_gpu: GaugeId,
-    pol_bw: GaugeId,
-    pol_cap: GaugeId,
-    pol_tok: GaugeId,
 }
 
 /// One per-set entry of the memoised alloc-mask cache: the two class
@@ -1080,29 +1041,29 @@ impl Hmc {
         let s = &self.stats;
         for (i, cls) in ["cpu", "gpu"].iter().enumerate() {
             let mut c = m.scoped(cls);
-            c.inc("accesses", s.accesses[i]);
-            c.inc("fast_hits", s.fast_hits[i]);
-            c.inc("fast_misses", s.fast_misses[i]);
-            c.inc("migrations", s.migrations[i]);
-            c.inc("bypasses", s.bypasses[i]);
-            c.inc("migrations_denied", s.migrations_denied[i]);
-            c.inc("buffer_denied", s.buffer_denied[i]);
+            c.set_counter("accesses", s.accesses[i]);
+            c.set_counter("fast_hits", s.fast_hits[i]);
+            c.set_counter("fast_misses", s.fast_misses[i]);
+            c.set_counter("migrations", s.migrations[i]);
+            c.set_counter("bypasses", s.bypasses[i]);
+            c.set_counter("migrations_denied", s.migrations_denied[i]);
+            c.set_counter("buffer_denied", s.buffer_denied[i]);
         }
-        m.inc("victim_writebacks", s.victim_writebacks);
-        m.inc("swaps", s.swaps);
-        m.inc("lazy_fixups", s.lazy_fixups);
-        m.inc("txns_started", self.txns_started);
-        m.inc("txns_retired", self.txns_retired);
+        m.set_counter("victim_writebacks", s.victim_writebacks);
+        m.set_counter("swaps", s.swaps);
+        m.set_counter("lazy_fixups", s.lazy_fixups);
+        m.set_counter("txns_started", self.txns_started);
+        m.set_counter("txns_retired", self.txns_retired);
         m.set_gauge("inflight", self.inflight() as f64);
         m.set_gauge("bg_txns", self.bg_txns as f64);
 
         let (rh, rm, rw) = self.rcache.counts();
         let mut rc = m.scoped("remap_cache");
-        rc.inc("hits", rh);
-        rc.inc("misses", rm);
-        rc.inc("writebacks", rw);
-        m.inc("meta_reads", s.meta_reads);
-        m.inc("meta_writebacks", s.meta_writebacks);
+        rc.set_counter("hits", rh);
+        rc.set_counter("misses", rm);
+        rc.set_counter("writebacks", rw);
+        m.set_counter("meta_reads", s.meta_reads);
+        m.set_counter("meta_writebacks", s.meta_writebacks);
 
         let (occ_cpu, occ_gpu) = self.table.occupancy_by_class();
         m.set_gauge("occ_ways.cpu", occ_cpu as f64);
@@ -1116,91 +1077,6 @@ impl Hmc {
         // 20-digit float.
         pol.set_gauge("tok", if p.tok == usize::MAX { -1.0 } else { p.tok as f64 });
         self.policy.collect_metrics(&mut pol);
-    }
-
-    /// Intern the static names emitted by [`Self::collect_metrics`] — same
-    /// names, same order — under `prefix`, returning dense handles for
-    /// [`Self::record_metrics`]. The policy's own metrics (emitted under
-    /// `{prefix}.policy` *after* the `bw`/`cap`/`tok` gauges) are not
-    /// covered: collect those with [`Self::collect_policy_metrics`]
-    /// immediately after interning so their names land in fresh-collection
-    /// order too.
-    pub fn intern_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) -> HmcMetricHandles {
-        let classes = ["cpu", "gpu"].map(|cls| {
-            let p = format!("{prefix}.{cls}");
-            ClassMetricHandles {
-                accesses: reg.intern_counter(&format!("{p}.accesses")),
-                fast_hits: reg.intern_counter(&format!("{p}.fast_hits")),
-                fast_misses: reg.intern_counter(&format!("{p}.fast_misses")),
-                migrations: reg.intern_counter(&format!("{p}.migrations")),
-                bypasses: reg.intern_counter(&format!("{p}.bypasses")),
-                migrations_denied: reg.intern_counter(&format!("{p}.migrations_denied")),
-                buffer_denied: reg.intern_counter(&format!("{p}.buffer_denied")),
-            }
-        });
-        HmcMetricHandles {
-            classes,
-            victim_writebacks: reg.intern_counter(&format!("{prefix}.victim_writebacks")),
-            swaps: reg.intern_counter(&format!("{prefix}.swaps")),
-            lazy_fixups: reg.intern_counter(&format!("{prefix}.lazy_fixups")),
-            txns_started: reg.intern_counter(&format!("{prefix}.txns_started")),
-            txns_retired: reg.intern_counter(&format!("{prefix}.txns_retired")),
-            inflight: reg.intern_gauge(&format!("{prefix}.inflight")),
-            bg_txns: reg.intern_gauge(&format!("{prefix}.bg_txns")),
-            rc_hits: reg.intern_counter(&format!("{prefix}.remap_cache.hits")),
-            rc_misses: reg.intern_counter(&format!("{prefix}.remap_cache.misses")),
-            rc_writebacks: reg.intern_counter(&format!("{prefix}.remap_cache.writebacks")),
-            meta_reads: reg.intern_counter(&format!("{prefix}.meta_reads")),
-            meta_writebacks: reg.intern_counter(&format!("{prefix}.meta_writebacks")),
-            occ_cpu: reg.intern_gauge(&format!("{prefix}.occ_ways.cpu")),
-            occ_gpu: reg.intern_gauge(&format!("{prefix}.occ_ways.gpu")),
-            pol_bw: reg.intern_gauge(&format!("{prefix}.policy.bw")),
-            pol_cap: reg.intern_gauge(&format!("{prefix}.policy.cap")),
-            pol_tok: reg.intern_gauge(&format!("{prefix}.policy.tok")),
-        }
-    }
-
-    /// Store the current cumulative controller statistics through handles
-    /// interned by [`Self::intern_metrics`]. Value-identical to the static
-    /// portion of a fresh [`Self::collect_metrics`] pass.
-    pub fn record_metrics(&self, reg: &mut MetricsRegistry, h: &HmcMetricHandles) {
-        let s = &self.stats;
-        for (i, c) in h.classes.iter().enumerate() {
-            reg.set_counter(c.accesses, s.accesses[i]);
-            reg.set_counter(c.fast_hits, s.fast_hits[i]);
-            reg.set_counter(c.fast_misses, s.fast_misses[i]);
-            reg.set_counter(c.migrations, s.migrations[i]);
-            reg.set_counter(c.bypasses, s.bypasses[i]);
-            reg.set_counter(c.migrations_denied, s.migrations_denied[i]);
-            reg.set_counter(c.buffer_denied, s.buffer_denied[i]);
-        }
-        reg.set_counter(h.victim_writebacks, s.victim_writebacks);
-        reg.set_counter(h.swaps, s.swaps);
-        reg.set_counter(h.lazy_fixups, s.lazy_fixups);
-        reg.set_counter(h.txns_started, self.txns_started);
-        reg.set_counter(h.txns_retired, self.txns_retired);
-        reg.set_gauge_id(h.inflight, self.inflight() as f64);
-        reg.set_gauge_id(h.bg_txns, self.bg_txns as f64);
-        let (rh, rm, rw) = self.rcache.counts();
-        reg.set_counter(h.rc_hits, rh);
-        reg.set_counter(h.rc_misses, rm);
-        reg.set_counter(h.rc_writebacks, rw);
-        reg.set_counter(h.meta_reads, s.meta_reads);
-        reg.set_counter(h.meta_writebacks, s.meta_writebacks);
-        let (occ_cpu, occ_gpu) = self.table.occupancy_by_class();
-        reg.set_gauge_id(h.occ_cpu, occ_cpu as f64);
-        reg.set_gauge_id(h.occ_gpu, occ_gpu as f64);
-        let p = self.policy.params();
-        reg.set_gauge_id(h.pol_bw, p.bw as f64);
-        reg.set_gauge_id(h.pol_cap, p.cap as f64);
-        reg.set_gauge_id(h.pol_tok, if p.tok == usize::MAX { -1.0 } else { p.tok as f64 });
-    }
-
-    /// Forward the policy's own metrics into `m` (callers scope under
-    /// `{prefix}.policy` and typically use a set-mode scope so cumulative
-    /// values overwrite instead of accumulate).
-    pub fn collect_policy_metrics(&self, m: &mut h2_sim_core::ScopedMetrics<'_>) {
-        self.policy.collect_metrics(m);
     }
 }
 

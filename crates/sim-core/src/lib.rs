@@ -17,7 +17,7 @@ pub mod units;
 
 pub use event::{EventQueue, Scheduled};
 pub use json::Json;
-pub use metrics::{CounterId, GaugeId, HistId, LogHistogram, MetricsRegistry, ScopedMetrics};
+pub use metrics::{LogHistogram, MetricsRegistry, ScopedMetrics};
 pub use monitor::{InvariantMonitor, MonitorSet, Violation};
 pub use trace_span::{BlameCause, BlameClass, Span, SpanCollector, SpanId, SpanInterval};
 pub use rng::{SeededRng, ZipfDraw};

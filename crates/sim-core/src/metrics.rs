@@ -14,6 +14,7 @@
 //! byte-identical output across runs.
 
 use std::collections::HashMap;
+use std::fmt::{self, Write};
 
 /// Number of log₂ buckets in a [`LogHistogram`]. Bucket 0 holds values in
 /// `[0, 2)`; bucket `b >= 1` holds `[2^b, 2^(b+1))`. Covers the full `u64`
@@ -156,46 +157,71 @@ impl LogHistogram {
     }
 }
 
-/// Dense handle to a counter interned with
-/// [`MetricsRegistry::intern_counter`]. Valid only for the registry that
-/// issued it (and for same-layout clones of that registry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(u32);
+/// Named values of one kind in insertion order, with a name index.
+#[derive(Debug, Clone, Default)]
+struct Table<T> {
+    entries: Vec<(String, T)>,
+    idx: HashMap<String, usize>,
+}
 
-/// Dense handle to a gauge interned with [`MetricsRegistry::intern_gauge`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(u32);
+impl<T: Clone + Default> Table<T> {
+    fn get(&self, name: &str) -> Option<&T> {
+        self.idx.get(name).map(|&i| &self.entries[i].1)
+    }
 
-/// Dense handle to a histogram interned with
-/// [`MetricsRegistry::intern_hist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistId(u32);
+    /// The value of `name`, appended (default-valued) at the tail on first
+    /// use. Only that first use allocates.
+    fn slot(&mut self, name: &str) -> &mut T {
+        let i = match self.idx.get(name) {
+            Some(&i) => i,
+            None => {
+                self.idx.insert(name.to_string(), self.entries.len());
+                self.entries.push((name.to_string(), T::default()));
+                self.entries.len() - 1
+            }
+        };
+        &mut self.entries[i].1
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&str, &T)> {
+        self.entries.iter().map(|(n, v)| (n.as_str(), v))
+    }
+
+    /// Same names in the same order, each value replaced by `f(name, value)`.
+    fn map(&self, f: impl Fn(&str, &T) -> T) -> Self {
+        Self {
+            entries: self.entries.iter().map(|(n, v)| (n.clone(), f(n, v))).collect(),
+            idx: self.idx.clone(),
+        }
+    }
+
+    fn copy_values_from(&mut self, other: &Self) {
+        for (n, v) in &other.entries {
+            self.slot(n).clone_from(v);
+        }
+    }
+}
 
 /// Hierarchical registry of named counters (`u64`), gauges (`f64`), and
 /// [`LogHistogram`]s. Names are dot-separated paths (`mem.fast.ch0.reads`);
-/// the [`scoped`](MetricsRegistry::scoped) helper prepends a prefix so
-/// components stay ignorant of where they sit in the hierarchy.
+/// components write them through a [`ScopedMetrics`] view, which prepends a
+/// prefix so they stay ignorant of where they sit in the hierarchy.
 ///
 /// Iteration order is insertion order (backed by an index map), so a
 /// registry built by a deterministic collection pass serialises identically
-/// every run.
-///
-/// Besides the name-keyed API there is an *interned* API: resolve a name
-/// once with [`intern_counter`](MetricsRegistry::intern_counter) (and
-/// friends) and then read/write through the dense integer handle with no
-/// hashing or string formatting. Interning a name that already exists
-/// returns its existing position, so a registry populated by a string-keyed
-/// collection pass and one populated through handles interned in the same
-/// order are byte-identical when serialised.
+/// every run. Every write *sets* its value, so one pass can fill a fresh
+/// registry or refresh a persistent one: a persistent registry keeps its
+/// names and order, and a name first written in a later pass is appended at
+/// the tail.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     enabled: bool,
-    counters: Vec<(String, u64)>,
-    counter_idx: HashMap<String, usize>,
-    gauges: Vec<(String, f64)>,
-    gauge_idx: HashMap<String, usize>,
-    hists: Vec<(String, LogHistogram)>,
-    hist_idx: HashMap<String, usize>,
+    counters: Table<u64>,
+    gauges: Table<f64>,
+    hists: Table<LogHistogram>,
+    /// Buffer [`ScopedMetrics`] builds full names in. Every write reuses
+    /// it, so writing to an existing name allocates nothing.
+    name: String,
 }
 
 impl MetricsRegistry {
@@ -205,139 +231,50 @@ impl MetricsRegistry {
         Self { enabled, ..Self::default() }
     }
 
-    /// Whether mutations are recorded.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Add `v` to counter `name`, creating it at the current tail position
-    /// on first use.
-    pub fn inc(&mut self, name: &str, v: u64) {
-        if !self.enabled {
-            return;
-        }
-        match self.counter_idx.get(name) {
-            Some(&i) => self.counters[i].1 += v,
-            None => {
-                self.counter_idx.insert(name.to_string(), self.counters.len());
-                self.counters.push((name.to_string(), v));
-            }
-        }
-    }
-
-    /// Set gauge `name` to `v` (last write wins).
-    pub fn set_gauge(&mut self, name: &str, v: f64) {
-        if !self.enabled {
-            return;
-        }
-        match self.gauge_idx.get(name) {
-            Some(&i) => self.gauges[i].1 = v,
-            None => {
-                self.gauge_idx.insert(name.to_string(), self.gauges.len());
-                self.gauges.push((name.to_string(), v));
-            }
-        }
-    }
-
-    /// Record one sample into histogram `name`.
-    pub fn observe(&mut self, name: &str, v: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.hist_mut(name).record(v);
-    }
-
-    /// Merge a whole pre-built histogram into histogram `name`.
-    pub fn merge_hist(&mut self, name: &str, h: &LogHistogram) {
-        if !self.enabled {
-            return;
-        }
-        self.hist_mut(name).merge(h);
-    }
-
-    fn hist_mut(&mut self, name: &str) -> &mut LogHistogram {
-        let i = match self.hist_idx.get(name) {
-            Some(&i) => i,
-            None => {
-                let i = self.hists.len();
-                self.hist_idx.insert(name.to_string(), i);
-                self.hists.push((name.to_string(), LogHistogram::new()));
-                i
-            }
-        };
-        &mut self.hists[i].1
-    }
-
     /// Read a counter (0 if absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counter_idx.get(name).map(|&i| self.counters[i].1).unwrap_or(0)
+        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Read a gauge, if set.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauge_idx.get(name).map(|&i| self.gauges[i].1)
+        self.gauges.get(name).copied()
     }
 
     /// Read a histogram, if present.
     pub fn hist(&self, name: &str) -> Option<&LogHistogram> {
-        self.hist_idx.get(name).map(|&i| &self.hists[i].1)
+        self.hists.get(name)
     }
 
     /// Counters in insertion order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(n, v)| (n.as_str(), *v))
+        self.counters.iter().map(|(n, v)| (n, *v))
     }
 
     /// Gauges in insertion order.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(n, v)| (n.as_str(), *v))
+        self.gauges.iter().map(|(n, v)| (n, *v))
     }
 
     /// Histograms in insertion order.
     pub fn hists(&self) -> impl Iterator<Item = (&str, &LogHistogram)> {
-        self.hists.iter().map(|(n, h)| (n.as_str(), h))
+        self.hists.iter()
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
+        self.counters.entries.is_empty()
+            && self.gauges.entries.is_empty()
+            && self.hists.entries.is_empty()
     }
 
-    /// Borrow the registry with every name prefixed by `prefix` + `.`.
-    pub fn scoped<'a>(&'a mut self, prefix: &str) -> ScopedMetrics<'a> {
-        ScopedMetrics { reg: self, prefix: prefix.to_string(), set_mode: false }
-    }
-
-    /// Like [`Self::scoped`], but `inc` *sets* the counter and `merge_hist`
-    /// *replaces* the histogram instead of accumulating. Components that
-    /// emit cumulative values through the ordinary add-semantics hook can
-    /// then write directly into a persistent registry without
-    /// double-counting across epochs.
-    pub fn scoped_set<'a>(&'a mut self, prefix: &str) -> ScopedMetrics<'a> {
-        ScopedMetrics { reg: self, prefix: prefix.to_string(), set_mode: true }
-    }
-
-    /// Set counter `name` to an absolute value (name-keyed; creates the
-    /// counter at the tail on first use).
-    pub fn set_counter_named(&mut self, name: &str, v: u64) {
-        if !self.enabled {
-            return;
+    /// Borrow the registry with every name prefixed by `prefix` + `.` (an
+    /// empty prefix writes names as given).
+    pub fn scoped(&mut self, prefix: impl fmt::Display) -> ScopedMetrics<'_> {
+        if self.enabled {
+            push_name(&mut self.name, 0, prefix);
         }
-        match self.counter_idx.get(name) {
-            Some(&i) => self.counters[i].1 = v,
-            None => {
-                self.counter_idx.insert(name.to_string(), self.counters.len());
-                self.counters.push((name.to_string(), v));
-            }
-        }
-    }
-
-    /// Replace histogram `name` with a copy of `h` (name-keyed).
-    pub fn set_hist_named(&mut self, name: &str, h: &LogHistogram) {
-        if !self.enabled {
-            return;
-        }
-        self.hist_mut(name).clone_from(h);
+        ScopedMetrics { prefix_len: self.name.len(), reg: self }
     }
 
     /// Per-window view: counters and histograms become `self - prev`
@@ -345,220 +282,88 @@ impl MetricsRegistry {
     /// Names absent from `prev` are treated as zero there. The result keeps
     /// `self`'s insertion order.
     pub fn delta_from(&self, prev: &MetricsRegistry) -> MetricsRegistry {
-        let mut out = MetricsRegistry::new(true);
-        for (n, v) in self.counters() {
-            out.inc(n, v.saturating_sub(prev.counter(n)));
-        }
-        for (n, v) in self.gauges() {
-            out.set_gauge(n, v);
-        }
-        for (n, h) in self.hists() {
-            let d = match prev.hist(n) {
+        MetricsRegistry {
+            enabled: true,
+            counters: self.counters.map(|n, v| v.saturating_sub(prev.counter(n))),
+            gauges: self.gauges.clone(),
+            hists: self.hists.map(|n, h| match prev.hist(n) {
                 Some(p) => h.delta_from(p),
                 None => h.clone(),
-            };
-            out.merge_hist(n, &d);
+            }),
+            name: String::new(),
         }
-        out
     }
 
-    // ---- interned-handle API (the allocation-free hot path) ----
-
-    /// Resolve `name` to a dense counter handle, creating the counter (at
-    /// the current tail position, value 0) if it does not exist yet.
-    /// Interning ignores the `enabled` flag: it is a build-time operation,
-    /// and callers only build handle layouts for registries they collect.
-    pub fn intern_counter(&mut self, name: &str) -> CounterId {
-        let i = match self.counter_idx.get(name) {
-            Some(&i) => i,
-            None => {
-                let i = self.counters.len();
-                self.counter_idx.insert(name.to_string(), i);
-                self.counters.push((name.to_string(), 0));
-                i
-            }
-        };
-        CounterId(i as u32)
-    }
-
-    /// Resolve `name` to a dense gauge handle (creating it at 0.0).
-    pub fn intern_gauge(&mut self, name: &str) -> GaugeId {
-        let i = match self.gauge_idx.get(name) {
-            Some(&i) => i,
-            None => {
-                let i = self.gauges.len();
-                self.gauge_idx.insert(name.to_string(), i);
-                self.gauges.push((name.to_string(), 0.0));
-                i
-            }
-        };
-        GaugeId(i as u32)
-    }
-
-    /// Resolve `name` to a dense histogram handle (creating it empty).
-    pub fn intern_hist(&mut self, name: &str) -> HistId {
-        let i = match self.hist_idx.get(name) {
-            Some(&i) => i,
-            None => {
-                let i = self.hists.len();
-                self.hist_idx.insert(name.to_string(), i);
-                self.hists.push((name.to_string(), LogHistogram::new()));
-                i
-            }
-        };
-        HistId(i as u32)
-    }
-
-    /// Set an interned counter to an absolute (cumulative) value.
-    #[inline]
-    pub fn set_counter(&mut self, id: CounterId, v: u64) {
-        self.counters[id.0 as usize].1 = v;
-    }
-
-    /// Add to an interned counter.
-    #[inline]
-    pub fn add_counter(&mut self, id: CounterId, v: u64) {
-        self.counters[id.0 as usize].1 += v;
-    }
-
-    /// Set an interned gauge.
-    #[inline]
-    pub fn set_gauge_id(&mut self, id: GaugeId, v: f64) {
-        self.gauges[id.0 as usize].1 = v;
-    }
-
-    /// Overwrite an interned histogram with a copy of `h` (set semantics:
-    /// the registry slot mirrors the component's cumulative histogram).
-    #[inline]
-    pub fn set_hist(&mut self, id: HistId, h: &LogHistogram) {
-        self.hists[id.0 as usize].1.clone_from(h);
-    }
-
-    /// Index-wise [`Self::delta_from`] for two same-layout registries (a
-    /// persistent cumulative registry and its previous-epoch snapshot):
-    /// no name lookups, positions are trusted to match. The layouts must
-    /// be identical — same names at the same indices — which holds by
-    /// construction when `prev` started as a clone of `self` and every
-    /// later interning touched both.
-    pub fn delta_from_indexed(&self, prev: &MetricsRegistry) -> MetricsRegistry {
-        debug_assert_eq!(self.counters.len(), prev.counters.len(), "counter layouts diverged");
-        debug_assert_eq!(self.gauges.len(), prev.gauges.len(), "gauge layouts diverged");
-        debug_assert_eq!(self.hists.len(), prev.hists.len(), "histogram layouts diverged");
-        let mut out = MetricsRegistry::new(true);
-        out.counters = self
-            .counters
-            .iter()
-            .zip(prev.counters.iter())
-            .map(|((n, v), (pn, pv))| {
-                debug_assert_eq!(n, pn, "counter layouts diverged");
-                (n.clone(), v.saturating_sub(*pv))
-            })
-            .collect();
-        out.counter_idx = self.counter_idx.clone();
-        out.gauges = self.gauges.clone();
-        out.gauge_idx = self.gauge_idx.clone();
-        out.hists = self
-            .hists
-            .iter()
-            .zip(prev.hists.iter())
-            .map(|((n, h), (pn, ph))| {
-                debug_assert_eq!(n, pn, "histogram layouts diverged");
-                (n.clone(), h.delta_from(ph))
-            })
-            .collect();
-        out.hist_idx = self.hist_idx.clone();
-        out
-    }
-
-    /// Copy every value from a same-layout registry, allocating nothing
-    /// (histograms are fixed arrays). Used to refresh the previous-epoch
-    /// snapshot from the cumulative registry after a frame is cut.
+    /// Copy every value of `other` into this registry in place. Names this
+    /// registry lacks are appended in `other`'s order, and only they
+    /// allocate. Used to move the previous-boundary snapshot up to the
+    /// cumulative registry after a frame is cut.
     pub fn copy_values_from(&mut self, other: &MetricsRegistry) {
-        debug_assert_eq!(self.counters.len(), other.counters.len(), "counter layouts diverged");
-        debug_assert_eq!(self.gauges.len(), other.gauges.len(), "gauge layouts diverged");
-        debug_assert_eq!(self.hists.len(), other.hists.len(), "histogram layouts diverged");
-        for (a, b) in self.counters.iter_mut().zip(other.counters.iter()) {
-            a.1 = b.1;
-        }
-        for (a, b) in self.gauges.iter_mut().zip(other.gauges.iter()) {
-            a.1 = b.1;
-        }
-        for (a, b) in self.hists.iter_mut().zip(other.hists.iter()) {
-            a.1.clone_from(&b.1);
-        }
+        self.counters.copy_values_from(&other.counters);
+        self.gauges.copy_values_from(&other.gauges);
+        self.hists.copy_values_from(&other.hists);
     }
+}
+
+/// Truncate `buf` to its first `prefix_len` bytes and append `.part` (or
+/// just `part` after an empty prefix).
+fn push_name(buf: &mut String, prefix_len: usize, part: impl fmt::Display) {
+    buf.truncate(prefix_len);
+    if prefix_len > 0 {
+        buf.push('.');
+    }
+    write!(buf, "{part}").expect("formatting into a String cannot fail");
 }
 
 /// A mutable view of a [`MetricsRegistry`] that prepends `prefix.` to every
 /// name, so components can emit relative paths.
 ///
-/// In *set mode* ([`MetricsRegistry::scoped_set`]) `inc` assigns instead of
-/// adding and `merge_hist` replaces instead of merging, so the same
-/// cumulative-value emission code can target either a fresh snapshot
-/// registry (add into zero) or a persistent one (overwrite last epoch).
+/// Every write *sets* the value of `prefix.name`; emitters write each name
+/// once per pass. The full name is built in the registry's reusable buffer,
+/// so writing to a name that already exists is one hash lookup with no
+/// allocation.
 pub struct ScopedMetrics<'a> {
     reg: &'a mut MetricsRegistry,
-    prefix: String,
-    set_mode: bool,
+    /// Length of this scope's prefix at the head of `reg.name`.
+    prefix_len: usize,
 }
 
 impl ScopedMetrics<'_> {
-    fn full(&self, name: &str) -> String {
-        if self.prefix.is_empty() {
-            name.to_string()
-        } else {
-            format!("{}.{}", self.prefix, name)
+    /// Set counter `prefix.name` to `v`.
+    pub fn set_counter(&mut self, name: &str, v: u64) {
+        let r = &mut *self.reg;
+        if r.enabled {
+            push_name(&mut r.name, self.prefix_len, name);
+            *r.counters.slot(&r.name) = v;
         }
     }
 
-    /// Add `v` to counter `prefix.name` (set mode: assign `v`).
-    pub fn inc(&mut self, name: &str, v: u64) {
-        if !self.reg.enabled {
-            return;
-        }
-        let full = self.full(name);
-        if self.set_mode {
-            self.reg.set_counter_named(&full, v);
-        } else {
-            self.reg.inc(&full, v);
-        }
-    }
-
-    /// Set gauge `prefix.name`.
+    /// Set gauge `prefix.name` to `v`.
     pub fn set_gauge(&mut self, name: &str, v: f64) {
-        if !self.reg.enabled {
-            return;
-        }
-        let full = self.full(name);
-        self.reg.set_gauge(&full, v);
-    }
-
-    /// Record a sample into histogram `prefix.name`.
-    pub fn observe(&mut self, name: &str, v: u64) {
-        if !self.reg.enabled {
-            return;
-        }
-        let full = self.full(name);
-        self.reg.observe(&full, v);
-    }
-
-    /// Merge a pre-built histogram into `prefix.name` (set mode: replace).
-    pub fn merge_hist(&mut self, name: &str, h: &LogHistogram) {
-        if !self.reg.enabled {
-            return;
-        }
-        let full = self.full(name);
-        if self.set_mode {
-            self.reg.set_hist_named(&full, h);
-        } else {
-            self.reg.merge_hist(&full, h);
+        let r = &mut *self.reg;
+        if r.enabled {
+            push_name(&mut r.name, self.prefix_len, name);
+            *r.gauges.slot(&r.name) = v;
         }
     }
 
-    /// Narrow the scope another level (inherits set mode).
-    pub fn scoped(&mut self, sub: &str) -> ScopedMetrics<'_> {
-        let prefix = self.full(sub);
-        ScopedMetrics { reg: self.reg, prefix, set_mode: self.set_mode }
+    /// Set histogram `prefix.name` to a copy of `h`.
+    pub fn set_hist(&mut self, name: &str, h: &LogHistogram) {
+        let r = &mut *self.reg;
+        if r.enabled {
+            push_name(&mut r.name, self.prefix_len, name);
+            r.hists.slot(&r.name).clone_from(h);
+        }
+    }
+
+    /// Narrow the scope another level. A numbered scope is passed as
+    /// `format_args!("ch{i}")`, which formats straight into the name buffer.
+    pub fn scoped(&mut self, sub: impl fmt::Display) -> ScopedMetrics<'_> {
+        let r = &mut *self.reg;
+        if r.enabled {
+            push_name(&mut r.name, self.prefix_len, sub);
+        }
+        ScopedMetrics { prefix_len: r.name.len(), reg: r }
     }
 }
 
@@ -599,19 +404,43 @@ mod tests {
         assert_eq!(bs, vec![(3, 1), (9, 1)]);
     }
 
+    fn hist_of(samples: &[u64]) -> LogHistogram {
+        let mut h = LogHistogram::new();
+        for &v in samples {
+            h.record(v);
+        }
+        h
+    }
+
+    /// Every name and value in insertion order, one per line.
+    fn dump(reg: &MetricsRegistry) -> String {
+        let mut s = String::new();
+        for (n, v) in reg.counters() {
+            s += &format!("c {n}={v}\n");
+        }
+        for (n, v) in reg.gauges() {
+            s += &format!("g {n}={v}\n");
+        }
+        for (n, h) in reg.hists() {
+            let b: Vec<_> = h.nonzero_buckets().collect();
+            s += &format!("h {n}={}/{}/{b:?}\n", h.count(), h.sum());
+        }
+        s
+    }
+
     #[test]
     fn registry_insertion_order_and_scoping() {
         let mut m = MetricsRegistry::new(true);
         {
             let mut s = m.scoped("mem.fast");
-            s.inc("reads", 3);
-            let mut b = s.scoped("ch0");
-            b.inc("row_hits", 7);
+            s.set_counter("reads", 3);
+            let mut b = s.scoped(format_args!("ch{}", 0));
+            b.set_counter("row_hits", 7);
         }
-        m.inc("mem.fast.reads", 1);
-        m.set_gauge("occ", 0.5);
-        m.observe("lat", 12);
-        assert_eq!(m.counter("mem.fast.reads"), 4);
+        let mut root = m.scoped("");
+        root.set_gauge("occ", 0.5);
+        root.set_hist("lat", &hist_of(&[12]));
+        assert_eq!(m.counter("mem.fast.reads"), 3);
         assert_eq!(m.counter("mem.fast.ch0.row_hits"), 7);
         assert_eq!(m.gauge("occ"), Some(0.5));
         assert_eq!(m.hist("lat").unwrap().count(), 1);
@@ -622,107 +451,111 @@ mod tests {
     #[test]
     fn disabled_registry_records_nothing() {
         let mut m = MetricsRegistry::new(false);
-        m.inc("a", 1);
-        m.set_gauge("b", 2.0);
-        m.observe("c", 3);
-        m.scoped("x").inc("y", 4);
-        assert!(m.is_empty());
-        assert_eq!(m.counter("a"), 0);
-    }
-
-    #[test]
-    fn interned_handles_alias_named_metrics() {
-        let mut m = MetricsRegistry::new(true);
-        m.inc("a.n", 3);
-        let c = m.intern_counter("a.n");
-        let fresh = m.intern_counter("a.fresh");
-        let g = m.intern_gauge("a.g");
-        let h = m.intern_hist("a.h");
-        m.set_counter(c, 10);
-        m.add_counter(fresh, 2);
-        m.set_gauge_id(g, 1.5);
-        let mut src = LogHistogram::new();
-        src.record(7);
-        m.set_hist(h, &src);
-        assert_eq!(m.counter("a.n"), 10);
-        assert_eq!(m.counter("a.fresh"), 2);
-        assert_eq!(m.gauge("a.g"), Some(1.5));
-        assert_eq!(m.hist("a.h").unwrap().count(), 1);
-        // Re-interning resolves to the same position.
-        assert_eq!(m.intern_counter("a.n"), c);
-        let names: Vec<_> = m.counters().map(|(n, _)| n.to_string()).collect();
-        assert_eq!(names, vec!["a.n", "a.fresh"]);
-    }
-
-    #[test]
-    fn indexed_delta_matches_named_delta() {
-        let mut cum = MetricsRegistry::new(true);
-        let c = cum.intern_counter("x.n");
-        let g = cum.intern_gauge("x.g");
-        let h = cum.intern_hist("x.h");
-        cum.set_counter(c, 4);
-        cum.set_gauge_id(g, 2.0);
-        let mut hist = LogHistogram::new();
-        hist.record(3);
-        cum.set_hist(h, &hist);
-        let mut prev = cum.clone();
-        cum.set_counter(c, 9);
-        cum.set_gauge_id(g, 5.0);
-        hist.record(100);
-        cum.set_hist(h, &hist);
-
-        let by_index = cum.delta_from_indexed(&prev);
-        let by_name = cum.delta_from(&prev);
-        assert_eq!(by_index.counter("x.n"), by_name.counter("x.n"));
-        assert_eq!(by_index.counter("x.n"), 5);
-        assert_eq!(by_index.gauge("x.g"), Some(5.0));
-        assert_eq!(by_index.hist("x.h").unwrap().count(), 1);
-
-        prev.copy_values_from(&cum);
-        let zero = cum.delta_from_indexed(&prev);
-        assert_eq!(zero.counter("x.n"), 0);
-        assert_eq!(zero.hist("x.h").unwrap().count(), 0);
-        // Layout (names + order) survives every operation.
-        let a: Vec<_> = cum.counters().map(|(n, _)| n.to_string()).collect();
-        let b: Vec<_> = zero.counters().map(|(n, _)| n.to_string()).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn set_mode_scope_assigns_instead_of_adding() {
-        let mut m = MetricsRegistry::new(true);
         {
-            let mut s = m.scoped_set("pol");
-            s.inc("reconfigs", 5);
-            let mut t = s.scoped("tokens");
-            t.inc("granted", 10);
+            let mut s = m.scoped("x");
+            s.set_counter("a", 1);
+            s.set_gauge("b", 2.0);
+            s.set_hist("c", &hist_of(&[3]));
+            s.scoped("y").set_counter("z", 4);
         }
-        {
-            let mut s = m.scoped_set("pol");
-            s.inc("reconfigs", 7);
-            let mut t = s.scoped("tokens");
-            t.inc("granted", 12);
+        assert!(m.is_empty());
+        assert_eq!(m.counter("x.a"), 0);
+    }
+
+    #[test]
+    fn writes_set_instead_of_adding() {
+        let mut m = MetricsRegistry::new(true);
+        for (reconfigs, granted) in [(5, 10), (7, 12)] {
+            let mut s = m.scoped("pol");
+            s.set_counter("reconfigs", reconfigs);
+            s.scoped("tokens").set_counter("granted", granted);
+            s.set_hist("lat", &hist_of(&[1]));
         }
         assert_eq!(m.counter("pol.reconfigs"), 7);
         assert_eq!(m.counter("pol.tokens.granted"), 12);
-        let mut h = LogHistogram::new();
-        h.record(1);
-        m.scoped_set("pol").merge_hist("lat", &h);
-        m.scoped_set("pol").merge_hist("lat", &h);
         assert_eq!(m.hist("pol.lat").unwrap().count(), 1);
+    }
+
+    /// One collection pass over the cumulative values at step `k`. The
+    /// `late` counter is first emitted in pass 3, like the lazily emitted
+    /// `trace.*` scope.
+    fn pass(reg: &mut MetricsRegistry, k: u64) {
+        let mut m = reg.scoped("sys");
+        m.set_counter("instr", 10 * k);
+        for i in 0..2 {
+            let mut ch = m.scoped(format_args!("ch{i}"));
+            ch.set_counter("reads", k + i);
+            ch.set_gauge("queue", (k * i) as f64);
+        }
+        m.set_hist("lat", &hist_of(&vec![k; k as usize]));
+        if k >= 3 {
+            m.set_counter("late", 100 * k);
+        }
+    }
+
+    #[test]
+    fn persistent_registry_matches_fresh_registry_per_pass() {
+        let mut cum = MetricsRegistry::new(true);
+        for k in 1..=5 {
+            pass(&mut cum, k);
+            let mut fresh = MetricsRegistry::new(true);
+            pass(&mut fresh, k);
+            assert_eq!(dump(&cum), dump(&fresh), "pass {k}");
+        }
+    }
+
+    #[test]
+    fn late_name_lands_at_tail_and_first_delta_is_from_zero() {
+        let mut cum = MetricsRegistry::new(true);
+        let mut prev = MetricsRegistry::new(true);
+        let mut frames = Vec::new();
+        for k in 1..=4 {
+            pass(&mut cum, k);
+            frames.push(cum.delta_from(&prev));
+            prev.copy_values_from(&cum);
+        }
+        let names: Vec<_> = cum.counters().map(|(n, _)| n).collect();
+        assert_eq!(names, vec!["sys.instr", "sys.ch0.reads", "sys.ch1.reads", "sys.late"]);
+        assert!(frames[1].counters().all(|(n, _)| n != "sys.late"));
+        assert_eq!(frames[2].counter("sys.late"), 300, "first delta is taken from zero");
+        assert_eq!(frames[3].counter("sys.late"), 100);
+        assert_eq!(frames[3].counter("sys.instr"), 10);
+        assert_eq!(frames[3].hist("sys.lat").unwrap().count(), 1);
+        assert_eq!(frames[3].gauge("sys.ch1.queue"), Some(4.0), "gauges are not deltas");
+    }
+
+    #[test]
+    fn copy_values_from_picks_up_tail_names() {
+        let mut cum = MetricsRegistry::new(true);
+        let mut prev = MetricsRegistry::new(true);
+        pass(&mut cum, 2);
+        prev.copy_values_from(&cum);
+        pass(&mut cum, 3);
+        assert_eq!(prev.counter("sys.late"), 0);
+        prev.copy_values_from(&cum);
+        assert_eq!(dump(&prev), dump(&cum));
+        let zero = cum.delta_from(&prev);
+        assert!(zero.counters().all(|(_, v)| v == 0));
+        assert!(zero.hists().all(|(_, h)| h.is_empty()));
     }
 
     #[test]
     fn registry_delta_subtracts_counters_keeps_gauges() {
         let mut prev = MetricsRegistry::new(true);
-        prev.inc("n", 10);
-        prev.set_gauge("g", 1.0);
-        prev.observe("h", 4);
+        {
+            let mut m = prev.scoped("");
+            m.set_counter("n", 10);
+            m.set_gauge("g", 1.0);
+            m.set_hist("h", &hist_of(&[4]));
+        }
         let mut cur = prev.clone();
-        cur.inc("n", 5);
-        cur.inc("fresh", 2);
-        cur.set_gauge("g", 9.0);
-        cur.observe("h", 4);
+        {
+            let mut m = cur.scoped("");
+            m.set_counter("n", 15);
+            m.set_counter("fresh", 2);
+            m.set_gauge("g", 9.0);
+            m.set_hist("h", &hist_of(&[4, 4]));
+        }
         let d = cur.delta_from(&prev);
         assert_eq!(d.counter("n"), 5);
         assert_eq!(d.counter("fresh"), 2);

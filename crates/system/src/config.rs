@@ -88,13 +88,6 @@ pub struct SystemConfig {
     /// part of the run-cache key; the cache re-executes an entry cached
     /// without spans when a traced replay asks for them.
     pub trace_sample: Option<u64>,
-    /// Collect telemetry through the legacy string-keyed metric path
-    /// instead of the interned-handle fast path. The two paths are
-    /// byte-identical (proved by the equivalence tests and the
-    /// `interned-metrics` fuzz relation); this switch exists only for that
-    /// differential testing. Pure observation, so — like `telemetry` — it
-    /// is not part of the run-cache key.
-    pub string_metrics: bool,
     /// Memoise `alloc_mask` lookups in the HMC (a per-set × per-class
     /// cache invalidated at epoch/faucet/reconfig boundaries, the only
     /// points masks can change). The memo is bit-identical to direct
@@ -139,7 +132,6 @@ impl SystemConfig {
             seed: 42,
             telemetry: true,
             trace_sample: None,
-            string_metrics: false,
             mask_memo: true,
         }
     }
@@ -320,8 +312,8 @@ impl SystemConfig {
     }
 
     /// Decode a configuration from [`SystemConfig::to_json`] output.
-    /// Observation-only knobs (`telemetry`, `trace_sample`,
-    /// `string_metrics`, `mask_memo`) are deliberately *not* part of the
+    /// Observation-only knobs (`telemetry`, `trace_sample`, `mask_memo`)
+    /// are deliberately *not* part of the
     /// encoding — they never change simulation results, so a replayed run
     /// starts from their defaults and the caller sets whatever it wants.
     pub fn from_json(j: &Json) -> Result<Self, String> {
@@ -397,7 +389,6 @@ impl SystemConfig {
             seed: u64f(j, "seed")?,
             telemetry: true,
             trace_sample: None,
-            string_metrics: false,
             mask_memo: true,
         };
         cfg.validate()?;

@@ -11,18 +11,16 @@ use crate::frontend::{CoreBlock, CpuCore, GpuCtx};
 use crate::policies::PolicyKind;
 use crate::report::{EpochFrame, EpochRecord, RunReport, RunTelemetry, RunTrace, TenantSlo};
 use h2_cache::sram::{AccessOutcome, SetAssocCache};
-use h2_hybrid::hmc::{Hmc, HmcEvent, HmcMetricHandles, HmcOutput};
+use h2_hybrid::hmc::{Hmc, HmcEvent, HmcOutput};
 use h2_hybrid::types::{HybridConfig, ReqClass, Tier};
 use h2_hybrid::HmcStats;
-use h2_mem::device::{MemMetricHandles, MemStats, StartedCmd};
+use h2_mem::device::{MemStats, StartedCmd};
 use h2_mem::{EnergyBreakdown, MemDevice, TimingPreset};
 use h2_hybrid::TokenFlows;
 use h2_sim_core::prof;
 use h2_sim_core::trace_span::{BlameCause, CmdTrace, SpanCollector, SpanId};
 use h2_sim_core::units::{Cycles, MIB};
-use h2_sim_core::{
-    CounterId, EventQueue, GaugeId, HistId, LogHistogram, MetricsRegistry, MonitorSet,
-};
+use h2_sim_core::{EventQueue, LogHistogram, MetricsRegistry, MonitorSet};
 use h2_trace::{Mix, RefSource, TenantInfo, TraceCapture, TraceRecord, WorkloadSpec};
 
 /// Local batching horizon: a front-end processes private-cache hits for at
@@ -113,56 +111,6 @@ pub struct SimProbe {
     pub spans_closed: u64,
 }
 
-/// Interned hit/miss/writeback counters for one cache level.
-#[derive(Debug, Clone, Copy)]
-struct CacheLevelHandles {
-    hits: CounterId,
-    misses: CounterId,
-    writebacks: CounterId,
-}
-
-/// Interned per-tenant SLO handles (`tenant.<name>.*`), present only on
-/// tenant-tagged runs.
-#[derive(Debug, Clone, Copy)]
-struct TenantHandles {
-    priority: GaugeId,
-    lat_cpu: HistId,
-    lat_gpu: HistId,
-}
-
-/// Interned `trace.*` counters, created lazily at the first collection
-/// where a span has closed (mirroring the string path, which emits the
-/// trace scope only once `spans_closed() > 0`).
-#[derive(Debug, Clone)]
-struct TraceHandles {
-    spans: CounterId,
-    dropped: CounterId,
-    /// `[victim class][BlameCause::ALL index]`.
-    blame: [[CounterId; 8]; 2],
-}
-
-/// Every metric name [`Sim::collect_registry`] emits, resolved once at
-/// system build into dense registry handles. Steady-state telemetry
-/// collection then runs through [`Sim::update_cum_registry`] — indexed
-/// stores with zero hashing or string formatting — while serialisation
-/// renders names only at flush, keeping output byte-identical to the
-/// string path (`SystemConfig::string_metrics`).
-struct MetricsLayout {
-    cpu_instr: CounterId,
-    gpu_instr: CounterId,
-    lat_cpu: HistId,
-    lat_gpu: HistId,
-    /// `cpu_l1`, `cpu_l2`, `gpu_l1`, `llc` — in collection order.
-    cache: [CacheLevelHandles; 4],
-    llc_occupancy: GaugeId,
-    mem_fast: MemMetricHandles,
-    mem_slow: MemMetricHandles,
-    hmc: HmcMetricHandles,
-    /// One entry per tenant (empty on untagged runs).
-    tenant: Vec<TenantHandles>,
-    trace: Option<TraceHandles>,
-}
-
 struct Sim {
     cfg: SystemConfig,
     q: EventQueue<Ev>,
@@ -213,12 +161,10 @@ struct Sim {
     /// observation: sampling decisions ride along with events but never
     /// influence what is scheduled when.
     tracer: SpanCollector,
-    /// Interned metric handles (`None` on the string path or with
-    /// telemetry off). See [`MetricsLayout`].
-    layout: Option<MetricsLayout>,
-    /// Persistent cumulative registry the handle path writes into; frames
-    /// are `cum - prev_reg` and `prev_reg` copies `cum` value-wise, so no
-    /// registry is ever rebuilt in steady state.
+    /// Cumulative registry refreshed in place at every epoch boundary.
+    /// Frames are `cum_reg - prev_reg`, and `prev_reg` then copies
+    /// `cum_reg` value-wise, so steady-state collection allocates only the
+    /// frame itself.
     cum_reg: MetricsRegistry,
     /// Recycled buffers for the event hot path: controller outputs,
     /// started-command completions, and drained device trace records. Each
@@ -256,196 +202,67 @@ impl Sim {
         self.ctxs.iter().map(|c| c.retired).sum()
     }
 
-    /// Snapshot every component's cumulative metrics into one registry.
+    /// Write every component's cumulative metrics into `reg`: a fresh
+    /// registry for the per-bank totals, or the persistent `cum_reg`.
     ///
     /// The collection order is fixed (system, latency, caches, devices,
     /// controller), which fixes the registry's insertion order and therefore
-    /// the serialised field order — the golden files depend on it.
-    /// `per_bank` adds per-bank device rows (totals only; too wide for
-    /// per-epoch frames).
-    fn collect_registry(&self, per_bank: bool) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new(self.telemetry);
-        if !self.telemetry {
-            return reg;
-        }
-        reg.inc("sys.cpu_instr", self.cpu_instr_total());
-        reg.inc("sys.gpu_instr", self.gpu_instr_total());
-        reg.merge_hist("lat.cpu_read", &self.cpu_lat_hist);
-        reg.merge_hist("lat.gpu_demand", &self.gpu_lat_hist);
+    /// the serialised field order — the golden files depend on it. Each
+    /// name is written once per pass. `per_bank` adds per-bank device rows
+    /// (totals only; too wide for per-epoch frames).
+    fn collect_registry(&self, reg: &mut MetricsRegistry, per_bank: bool) {
+        let mut m = reg.scoped("");
+        m.set_counter("sys.cpu_instr", self.cpu_instr_total());
+        m.set_counter("sys.gpu_instr", self.gpu_instr_total());
+        m.set_hist("lat.cpu_read", &self.cpu_lat_hist);
+        m.set_hist("lat.gpu_demand", &self.gpu_lat_hist);
         {
-            let mut cache = reg.scoped("cache");
+            let mut cache = m.scoped("cache");
             collect_cache_level(&mut cache, "cpu_l1", &self.l1s);
             collect_cache_level(&mut cache, "cpu_l2", &self.l2s);
             collect_cache_level(&mut cache, "gpu_l1", &self.gpu_l1s);
             collect_cache_level(&mut cache, "llc", std::slice::from_ref(&self.llc));
             cache.set_gauge("llc.occupancy", self.llc.occupancy() as f64);
         }
-        self.fast.collect_metrics(&mut reg.scoped("mem.fast"), per_bank);
-        self.slow.collect_metrics(&mut reg.scoped("mem.slow"), per_bank);
-        self.hmc.collect_metrics(&mut reg.scoped("hmc"));
+        self.fast.collect_metrics(&mut m.scoped("mem.fast"), per_bank);
+        self.slow.collect_metrics(&mut m.scoped("mem.slow"), per_bank);
+        self.hmc.collect_metrics(&mut m.scoped("hmc"));
         // Per-tenant SLO scope — emitted only on tenant-tagged runs, so
         // classic preset runs (and their golden snapshots) serialise
         // byte-identically to before tenants existed.
         if !self.tenants.is_empty() {
-            let mut tn = reg.scoped("tenant");
+            let mut tn = m.scoped("tenant");
             for (ti, t) in self.tenants.iter().enumerate() {
                 let mut s = tn.scoped(&t.name);
                 s.set_gauge("priority", t.priority as f64);
-                s.merge_hist("lat.cpu", &self.tenant_cpu_hists[ti]);
-                s.merge_hist("lat.gpu", &self.tenant_gpu_hists[ti]);
+                s.set_hist("lat.cpu", &self.tenant_cpu_hists[ti]);
+                s.set_hist("lat.gpu", &self.tenant_gpu_hists[ti]);
             }
         }
         // The per-epoch CPU↔GPU interference matrix: cumulative cycles each
         // victim class spent blamed on each cause, over all closed spans.
         // Emitted only once at least one span has closed so that runs with
         // tracing off — or enabled at sample rate 0 — serialise
-        // byte-identically (the schema-v2 zero-perturbation guarantee).
+        // byte-identically (the schema-v2 zero-perturbation guarantee). In
+        // `cum_reg` these names therefore land after every other counter.
         if self.tracer.spans_closed() > 0 {
-            let mut tr = reg.scoped("trace");
-            tr.inc("spans", self.tracer.spans_closed());
-            tr.inc("dropped", self.tracer.dropped());
+            let mut tr = m.scoped("trace");
+            tr.set_counter("spans", self.tracer.spans_closed());
+            tr.set_counter("dropped", self.tracer.dropped());
             for (ci, vscope) in ["blame.cpu", "blame.gpu"].iter().enumerate() {
                 let mut victim = tr.scoped(vscope);
                 for cause in BlameCause::ALL {
-                    victim.inc(cause.name(), self.tracer.blame_cycles(ci as u8, cause));
+                    victim.set_counter(cause.name(), self.tracer.blame_cycles(ci as u8, cause));
                 }
             }
         }
-        reg
     }
 
-    /// Resolve every static metric name into dense handles (exactly the
-    /// names [`Self::collect_registry`] emits, in the same per-kind
-    /// insertion order) and seed the persistent cumulative/previous
-    /// registries. Called once at system build when the handle path is
-    /// active (`telemetry && !string_metrics`).
-    fn init_metrics_layout(&mut self) {
-        let mut reg = MetricsRegistry::new(true);
-        let cpu_instr = reg.intern_counter("sys.cpu_instr");
-        let gpu_instr = reg.intern_counter("sys.gpu_instr");
-        let lat_cpu = reg.intern_hist("lat.cpu_read");
-        let lat_gpu = reg.intern_hist("lat.gpu_demand");
-        let cache = ["cache.cpu_l1", "cache.cpu_l2", "cache.gpu_l1", "cache.llc"].map(|p| {
-            CacheLevelHandles {
-                hits: reg.intern_counter(&format!("{p}.hits")),
-                misses: reg.intern_counter(&format!("{p}.misses")),
-                writebacks: reg.intern_counter(&format!("{p}.writebacks")),
-            }
-        });
-        let llc_occupancy = reg.intern_gauge("cache.llc.occupancy");
-        let mem_fast = self.fast.intern_metrics(&mut reg, "mem.fast");
-        let mem_slow = self.slow.intern_metrics(&mut reg, "mem.slow");
-        let hmc = self.hmc.intern_metrics(&mut reg, "hmc");
-        // The policy's own metric names are dynamic but stable per run
-        // (channel-token scopes are fixed at construction). A set-mode
-        // collect registers them now, right where a fresh string collection
-        // would put them — at the tail of the `hmc.policy` scope.
-        {
-            let mut pol = reg.scoped_set("hmc.policy");
-            self.hmc.collect_policy_metrics(&mut pol);
-        }
-        // Tenant names are dynamic but fixed at system build, so their
-        // handles intern eagerly — right where the string path emits the
-        // `tenant` scope (after `hmc`, before any lazy `trace` names).
-        let tenant = self
-            .tenants
-            .iter()
-            .map(|t| TenantHandles {
-                priority: reg.intern_gauge(&format!("tenant.{}.priority", t.name)),
-                lat_cpu: reg.intern_hist(&format!("tenant.{}.lat.cpu", t.name)),
-                lat_gpu: reg.intern_hist(&format!("tenant.{}.lat.gpu", t.name)),
-            })
-            .collect();
-        self.prev_reg = reg.clone();
-        self.cum_reg = reg;
-        self.layout = Some(MetricsLayout {
-            cpu_instr,
-            gpu_instr,
-            lat_cpu,
-            lat_gpu,
-            cache,
-            llc_occupancy,
-            mem_fast,
-            mem_slow,
-            hmc,
-            tenant,
-            trace: None,
-        });
-    }
-
-    fn intern_trace_handles(reg: &mut MetricsRegistry) -> TraceHandles {
-        let spans = reg.intern_counter("trace.spans");
-        let dropped = reg.intern_counter("trace.dropped");
-        let blame = ["cpu", "gpu"].map(|cname| {
-            BlameCause::ALL
-                .map(|cause| reg.intern_counter(&format!("trace.blame.{cname}.{}", cause.name())))
-        });
-        TraceHandles { spans, dropped, blame }
-    }
-
-    /// Handle-path equivalent of `collect_registry(false)`: store every
-    /// component's cumulative statistics into the persistent registry
-    /// through the interned handles. Value- and layout-identical to a fresh
-    /// string collection (the equivalence tests compare the serialised
-    /// bytes).
-    fn update_cum_registry(&mut self) {
-        let mut layout = self.layout.take().expect("handle path initialised");
-        let mut reg = std::mem::take(&mut self.cum_reg);
-        reg.set_counter(layout.cpu_instr, self.cpu_instr_total());
-        reg.set_counter(layout.gpu_instr, self.gpu_instr_total());
-        reg.set_hist(layout.lat_cpu, &self.cpu_lat_hist);
-        reg.set_hist(layout.lat_gpu, &self.gpu_lat_hist);
-        let levels: [&[SetAssocCache]; 4] = [
-            &self.l1s,
-            &self.l2s,
-            &self.gpu_l1s,
-            std::slice::from_ref(&self.llc),
-        ];
-        for (h, caches) in layout.cache.iter().zip(levels) {
-            let (mut hits, mut misses, mut wbs) = (0u64, 0u64, 0u64);
-            for c in caches {
-                let st = c.stats();
-                hits += st.hits;
-                misses += st.misses;
-                wbs += st.writebacks;
-            }
-            reg.set_counter(h.hits, hits);
-            reg.set_counter(h.misses, misses);
-            reg.set_counter(h.writebacks, wbs);
-        }
-        reg.set_gauge_id(layout.llc_occupancy, self.llc.occupancy() as f64);
-        self.fast.record_metrics(&mut reg, &layout.mem_fast);
-        self.slow.record_metrics(&mut reg, &layout.mem_slow);
-        self.hmc.record_metrics(&mut reg, &layout.hmc);
-        {
-            let mut pol = reg.scoped_set("hmc.policy");
-            self.hmc.collect_policy_metrics(&mut pol);
-        }
-        for (ti, h) in layout.tenant.iter().enumerate() {
-            reg.set_gauge_id(h.priority, self.tenants[ti].priority as f64);
-            reg.set_hist(h.lat_cpu, &self.tenant_cpu_hists[ti]);
-            reg.set_hist(h.lat_gpu, &self.tenant_gpu_hists[ti]);
-        }
-        if self.tracer.spans_closed() > 0 {
-            if layout.trace.is_none() {
-                // First collection with a closed span: append the trace
-                // names to both the cumulative and previous-boundary
-                // registries (prev values stay zero, so the first traced
-                // frame deltas from zero exactly like the string path).
-                layout.trace = Some(Self::intern_trace_handles(&mut reg));
-                Self::intern_trace_handles(&mut self.prev_reg);
-            }
-            let t = layout.trace.as_ref().expect("just interned");
-            reg.set_counter(t.spans, self.tracer.spans_closed());
-            reg.set_counter(t.dropped, self.tracer.dropped());
-            for (ci, row) in t.blame.iter().enumerate() {
-                for (k, cause) in BlameCause::ALL.iter().enumerate() {
-                    reg.set_counter(row[k], self.tracer.blame_cycles(ci as u8, *cause));
-                }
-            }
-        }
-        self.cum_reg = reg;
-        self.layout = Some(layout);
+    /// One collection pass into the persistent `cum_reg`.
+    fn collect_cum(&mut self) {
+        let mut cum = std::mem::take(&mut self.cum_reg);
+        self.collect_registry(&mut cum, false);
+        self.cum_reg = cum;
     }
 
     fn dev(&mut self, tier: Tier) -> &mut MemDevice {
@@ -885,32 +702,19 @@ impl Sim {
             if self.telemetry {
                 // Per-epoch frame: counter/histogram deltas since the last
                 // boundary, gauges as sampled now (after adaptation).
-                if self.layout.is_some() {
-                    self.update_cum_registry();
-                    self.frames.push(EpochFrame {
-                        record: record.clone(),
-                        metrics: self.cum_reg.delta_from_indexed(&self.prev_reg),
-                    });
-                    self.prev_reg.copy_values_from(&self.cum_reg);
-                } else {
-                    let cur = self.collect_registry(false);
-                    self.frames.push(EpochFrame {
-                        record: record.clone(),
-                        metrics: cur.delta_from(&self.prev_reg),
-                    });
-                    self.prev_reg = cur;
-                }
+                self.collect_cum();
+                self.frames.push(EpochFrame {
+                    record: record.clone(),
+                    metrics: self.cum_reg.delta_from(&self.prev_reg),
+                });
+                self.prev_reg.copy_values_from(&self.cum_reg);
             }
             self.epoch_trace.push(record);
         } else if self.telemetry {
             // Keep the boundary snapshot fresh during warm-up so the first
             // measured frame covers exactly one epoch.
-            if self.layout.is_some() {
-                self.update_cum_registry();
-                self.prev_reg.copy_values_from(&self.cum_reg);
-            } else {
-                self.prev_reg = self.collect_registry(false);
-            }
+            self.collect_cum();
+            self.prev_reg.copy_values_from(&self.cum_reg);
         }
     }
 
@@ -921,15 +725,13 @@ impl Sim {
         self.warm_fast = self.fast.stats();
         self.warm_slow = self.slow.stats();
         if self.telemetry {
-            // Wide per-bank totals snapshot: taken twice per run, so it
-            // stays on the string path.
-            self.warm_reg = self.collect_registry(true);
-            if self.layout.is_some() {
-                self.update_cum_registry();
-                self.prev_reg.copy_values_from(&self.cum_reg);
-            } else {
-                self.prev_reg = self.collect_registry(false);
-            }
+            // Wide per-bank totals snapshot, taken twice per run into a
+            // fresh registry.
+            let mut warm = MetricsRegistry::new(true);
+            self.collect_registry(&mut warm, true);
+            self.warm_reg = warm;
+            self.collect_cum();
+            self.prev_reg.copy_values_from(&self.cum_reg);
         }
         self.warm_tenant_cpu = self.tenant_cpu_hists.clone();
         self.warm_tenant_gpu = self.tenant_gpu_hists.clone();
@@ -1132,9 +934,9 @@ fn collect_cache_level(
         misses += st.misses;
         wbs += st.writebacks;
     }
-    s.inc("hits", hits);
-    s.inc("misses", misses);
-    s.inc("writebacks", wbs);
+    s.set_counter("hits", hits);
+    s.set_counter("misses", misses);
+    s.set_counter("writebacks", wbs);
 }
 
 fn sub_stats(a: MemStats, b: MemStats) -> MemStats {
@@ -1363,7 +1165,6 @@ pub fn run_plan_monitored(
         prev_reg: MetricsRegistry::new(cfg.telemetry),
         warm_reg: MetricsRegistry::new(cfg.telemetry),
         tracer: SpanCollector::new(cfg.trace_sample),
-        layout: None,
         cum_reg: MetricsRegistry::new(cfg.telemetry),
         out_buf: Vec::new(),
         started_buf: Vec::new(),
@@ -1381,9 +1182,6 @@ pub fn run_plan_monitored(
         warm_tenant_cpu: vec![LogHistogram::new(); n_tenants],
         warm_tenant_gpu: vec![LogHistogram::new(); n_tenants],
     };
-    if cfg.telemetry && !cfg.string_metrics {
-        sim.init_metrics_layout();
-    }
 
     // Stagger initial wake-ups so front-ends do not move in lockstep.
     for i in 0..sim.cores.len() {
@@ -1407,8 +1205,10 @@ pub fn run_plan_monitored(
     prof::flush_thread();
 
     let telemetry = if sim.telemetry {
+        let mut end = MetricsRegistry::new(true);
+        sim.collect_registry(&mut end, true);
         Some(RunTelemetry {
-            totals: sim.collect_registry(true).delta_from(&sim.warm_reg),
+            totals: end.delta_from(&sim.warm_reg),
             epochs: std::mem::take(&mut sim.frames),
         })
     } else {
@@ -1732,59 +1532,6 @@ mod tests {
         assert_eq!(a.slow, b.slow);
         assert_eq!(a.events_processed, b.events_processed);
         assert_eq!(a.epoch_trace, b.epoch_trace);
-    }
-
-    /// Acceptance suite for the interned-handle telemetry path: against the
-    /// string path of record, runs must produce byte-identical serialised
-    /// telemetry and identical reports, with the tracer armed and off.
-    #[test]
-    fn interned_metrics_match_string_path_byte_for_byte() {
-        let mix = Mix::by_name("C1").unwrap();
-        for trace in [None, Some(64)] {
-            let mut cfg = tiny();
-            cfg.trace_sample = trace;
-            cfg.string_metrics = false;
-            let fast = run_sim(&cfg, &mix, PolicyKind::HydrogenFull);
-            cfg.string_metrics = true;
-            let strs = run_sim(&cfg, &mix, PolicyKind::HydrogenFull);
-            let ctx = format!("trace={trace:?}");
-            assert_eq!(fast.cpu_instr, strs.cpu_instr, "{ctx}");
-            assert_eq!(fast.gpu_instr, strs.gpu_instr, "{ctx}");
-            assert_eq!(fast.hmc, strs.hmc, "{ctx}");
-            assert_eq!(fast.fast, strs.fast, "{ctx}");
-            assert_eq!(fast.slow, strs.slow, "{ctx}");
-            assert_eq!(fast.epoch_trace, strs.epoch_trace, "{ctx}");
-            assert_eq!(fast.events_processed, strs.events_processed, "{ctx}");
-            assert_eq!(
-                fast.telemetry_json_string().unwrap(),
-                strs.telemetry_json_string().unwrap(),
-                "{ctx}: serialised telemetry must be byte-identical"
-            );
-            let sa = fast.trace.as_ref().map(|t| &t.spans);
-            let sb = strs.trace.as_ref().map(|t| &t.spans);
-            assert_eq!(sa, sb, "{ctx}: span sets must match");
-        }
-    }
-
-    /// The handle path must also hold across policies with different (and
-    /// dynamically named) policy metric sets.
-    #[test]
-    fn interned_metrics_match_string_path_across_policies() {
-        let mix = Mix::by_name("C2").unwrap();
-        for kind in [PolicyKind::NoPart, PolicyKind::HydrogenFull] {
-            let mut cfg = tiny();
-            cfg.trace_sample = Some(64);
-            cfg.string_metrics = false;
-            let fast = run_sim(&cfg, &mix, kind);
-            cfg.string_metrics = true;
-            let strs = run_sim(&cfg, &mix, kind);
-            assert_eq!(
-                fast.telemetry_json_string().unwrap(),
-                strs.telemetry_json_string().unwrap(),
-                "policy {}",
-                kind.label()
-            );
-        }
     }
 
     #[test]

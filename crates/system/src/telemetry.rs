@@ -128,11 +128,14 @@ mod tests {
     #[test]
     fn registry_roundtrips_structure() {
         let mut reg = MetricsRegistry::new(true);
-        reg.inc("b.second", 2);
-        reg.inc("a.first", 1);
-        reg.set_gauge("g", 0.5);
-        reg.observe("lat", 100);
-        reg.observe("lat", 3);
+        let mut lat = h2_sim_core::LogHistogram::new();
+        lat.record(100);
+        lat.record(3);
+        let mut m = reg.scoped("");
+        m.set_counter("b.second", 2);
+        m.set_counter("a.first", 1);
+        m.set_gauge("g", 0.5);
+        m.set_hist("lat", &lat);
         let j = registry_json(&reg);
         let s = j.to_string_compact();
         // Insertion order preserved, not alphabetical.
