@@ -14,28 +14,6 @@ use h2_sim_core::{Json, SeededRng};
 use h2_system::{PolicyKind, SystemConfig};
 use h2_trace::{workloads, WorkloadSpec};
 
-/// The policies the fuzzer samples, by stable name. Parameterised kinds
-/// (`HydrogenStatic`, swap variants) are excluded: they multiply the space
-/// without exercising new mechanisms.
-pub const POLICIES: &[(&str, PolicyKind)] = &[
-    ("NoPart", PolicyKind::NoPart),
-    ("NoMigrate", PolicyKind::NoMigrate),
-    ("WayPart", PolicyKind::WayPart),
-    ("HashCache", PolicyKind::HashCache),
-    ("Profess", PolicyKind::Profess),
-    ("Kim2012", PolicyKind::Kim2012),
-    ("SetPart", PolicyKind::SetPart),
-    ("HydrogenDp", PolicyKind::HydrogenDp),
-    ("HydrogenDpToken", PolicyKind::HydrogenDpToken),
-    ("HydrogenFull", PolicyKind::HydrogenFull),
-    ("HydrogenPerChannelTokens", PolicyKind::HydrogenPerChannelTokens),
-];
-
-/// Look up a sampled policy by its stable name.
-pub fn policy_by_name(name: &str) -> Option<PolicyKind> {
-    POLICIES.iter().find(|(n, _)| *n == name).map(|(_, k)| *k)
-}
-
 /// Policies safe to run in flat (non-cache) mode. HAShCache and friends
 /// assume the cache organisation; the paper only evaluates flat mode for
 /// the shared baseline and Hydrogen.
@@ -57,7 +35,7 @@ pub struct FuzzCase {
     pub cpu: Vec<String>,
     /// GPU kernel name from the catalog.
     pub gpu: Option<String>,
-    /// Policy name (see [`POLICIES`]).
+    /// Policy name (see [`PolicyKind::CATALOG`]).
     pub policy: String,
     /// Flat (true) or cache (false) organisation.
     pub flat: bool,
@@ -113,7 +91,8 @@ impl FuzzCase {
             }
         }
 
-        let (policy, _) = POLICIES[rng.below(POLICIES.len() as u64) as usize];
+        let catalog = PolicyKind::CATALOG;
+        let (policy, _) = catalog[rng.below(catalog.len() as u64) as usize];
         let flat = rng.chance(0.2) && FLAT_SAFE.contains(&policy);
         let epoch_cycles = rng.range_inclusive(20, 80) * 1_000;
         FuzzCase {
@@ -140,8 +119,7 @@ impl FuzzCase {
 
     /// The policy kind this case runs under.
     pub fn policy_kind(&self) -> Result<PolicyKind, String> {
-        policy_by_name(&self.policy)
-            .ok_or_else(|| format!("unknown policy '{}' (see h2_check::POLICIES)", self.policy))
+        PolicyKind::by_name(&self.policy)
     }
 
     /// A short human-readable tag for logs.
@@ -355,13 +333,5 @@ mod tests {
         let mut c = FuzzCase::generate(1);
         c.epoch_cycles = 0;
         assert!(c.build().unwrap_err().contains("epoch_cycles"));
-    }
-
-    #[test]
-    fn every_policy_name_resolves() {
-        for (name, kind) in POLICIES {
-            assert_eq!(policy_by_name(name), Some(*kind));
-        }
-        assert_eq!(policy_by_name("nope"), None);
     }
 }

@@ -32,7 +32,7 @@ pub mod monitors;
 pub mod relations;
 pub mod tenancy;
 
-pub use case::{policy_by_name, FuzzCase, POLICIES};
+pub use case::FuzzCase;
 pub use diff::{diff_reports, diff_reports_except};
 pub use fuzz::{
     fuzz, parse_repro, repro_json, run_battery, shrink, Failure, FuzzOutcome, OracleHooks,

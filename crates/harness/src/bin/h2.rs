@@ -47,7 +47,6 @@
 use h2_harness::{
     run_experiment, take_flag, validate_run_ids, Profile, RunCache, ALL_EXPERIMENTS,
 };
-use h2_sim_core::prof;
 use std::path::{Path, PathBuf};
 
 // With the `alloc-count` feature, every allocation in the process goes
@@ -64,7 +63,7 @@ const DEFAULT_TRACE_SAMPLE: u64 = 64;
 /// Value-taking output flags of `h2 run` / `h2 all`.
 const RUN_FLAGS: [&str; 4] = ["--telemetry", "--trace", "--trace-sample", "--profile"];
 
-const USAGE: &str = "usage: h2 list | h2 [--telemetry <dir>] [--trace <dir> [--trace-sample N]] [--profile <dir>] run <experiment>.. | h2 all | h2 fuzz [--seeds N] [--time-budget SECS] [--replay FILE] | h2 bench [--gate|--baseline] [--iters N] [--profile] [--profile-out DIR] [--profile-snapshot] | h2 sweep <spec.json> [--out FILE] [--jobs N] | h2 cache stats|gc [--max-bytes N[K|M|G]] [--dir D]";
+const USAGE: &str = "usage: h2 list | h2 [--telemetry <dir>] [--trace <dir> [--trace-sample N]] [--profile <dir>] run <experiment>.. | h2 [run flags] run (--scenario <spec.json> | --mix <name> | --replay <in.h2trace>) [--capture <out.h2trace>] [--policy P] [--scale tiny|scaled|paper] [--seed N] | h2 all | h2 fuzz [--seeds N] [--time-budget SECS] [--replay FILE] | h2 bench [--gate|--baseline] [--iters N] [--profile] [--profile-out DIR] [--profile-snapshot] | h2 sweep <spec.json> [--out FILE] [--jobs N] | h2 cache stats|gc [--max-bytes N[K|M|G]] [--dir D]";
 
 /// Output options of `h2 run` / `h2 all`, parsed from [`RUN_FLAGS`].
 struct RunOpts {
@@ -121,6 +120,7 @@ fn main() {
                 std::process::exit(h2_harness::trace_cli::cmd_run_trace(
                     &args,
                     opts.telemetry.as_deref(),
+                    opts.trace.as_ref().map(|(dir, n)| (dir.as_path(), *n)),
                     opts.profile.as_deref(),
                 ));
             }
@@ -145,55 +145,42 @@ fn main() {
 }
 
 fn run_ids(ids: &[&str], profile: &Profile, opts: &RunOpts) {
-    if opts.profile.is_some() {
-        prof::set_alloc_probe(h2_harness::alloc_count::allocs);
-        prof::reset();
-        prof::arm();
-    }
-    let mut cache = RunCache::persistent();
-    if let Some(dir) = &opts.telemetry {
-        if let Err(e) = cache.set_telemetry_dir(dir) {
-            fail(&format!("cannot create telemetry dir {}: {e}", dir.display()));
+    let ran = h2_harness::profout::with_profile(opts.profile.as_deref(), || {
+        let mut cache = RunCache::persistent();
+        if let Some(dir) = &opts.telemetry {
+            if let Err(e) = cache.set_telemetry_dir(dir) {
+                fail(&format!("cannot create telemetry dir {}: {e}", dir.display()));
+            }
         }
-    }
-    if let Some((dir, sample)) = &opts.trace {
-        if let Err(e) = cache.set_trace_dir(dir, *sample) {
-            fail(&format!("cannot create trace dir {}: {e}", dir.display()));
+        if let Some((dir, sample)) = &opts.trace {
+            if let Err(e) = cache.set_trace_dir(dir, *sample) {
+                fail(&format!("cannot create trace dir {}: {e}", dir.display()));
+            }
         }
-    }
-    let t0 = std::time::Instant::now();
-    let results_dir = Path::new("results");
-    for id in ids {
-        match run_experiment(id, profile, &mut cache) {
-            Some(tables) => {
-                for t in tables {
-                    println!("{}", t.render());
-                    match t.write_csv(results_dir) {
-                        Ok(p) => println!("csv: {}\n", p.display()),
-                        Err(e) => eprintln!("csv write failed: {e}"),
+        let t0 = std::time::Instant::now();
+        let results_dir = Path::new("results");
+        for id in ids {
+            match run_experiment(id, profile, &mut cache) {
+                Some(tables) => {
+                    for t in tables {
+                        println!("{}", t.render());
+                        match t.write_csv(results_dir) {
+                            Ok(p) => println!("csv: {}\n", p.display()),
+                            Err(e) => eprintln!("csv write failed: {e}"),
+                        }
                     }
                 }
+                None => fail(&format!("unknown experiment '{id}' (see `h2 list`)")),
             }
-            None => fail(&format!("unknown experiment '{id}' (see `h2 list`)")),
         }
-    }
-    eprintln!(
-        "[h2] {} experiments in {:.0}s: {}",
-        ids.len(),
-        t0.elapsed().as_secs_f64(),
-        cache.summary()
-    );
-    if let Some(dir) = &opts.profile {
-        prof::disarm();
-        let report = prof::take_report();
-        match h2_harness::profout::write_profile(dir, &report) {
-            Ok(paths) => {
-                print!("{}", report.render_text());
-                for p in &paths {
-                    eprintln!("profile: {}", p.display());
-                }
-            }
-            Err(e) => fail(&format!("cannot write profile to {}: {e}", dir.display())),
-        }
+        eprintln!(
+            "[h2] {} experiments in {:.0}s: {}",
+            ids.len(),
+            t0.elapsed().as_secs_f64(),
+            cache.summary()
+        );
+    });
+    if let Err(e) = ran {
+        fail(&e);
     }
 }

@@ -115,8 +115,9 @@ fn execute(job: &Job, trace_sample: Option<u64>, verbose: bool) -> (RunReport, f
 
 /// The default persistent-cache directory: `results/.runcache` under the
 /// nearest ancestor that already has a `results/` dir or is a repo root —
-/// so `cargo bench` targets (whose CWD is the package dir) share one cache
-/// with the `h2` CLI (run from the workspace root).
+/// so a process started in a crate directory (cargo's test and bench
+/// runners use the package dir as CWD) shares one cache with the `h2` CLI
+/// run from the workspace root.
 pub(crate) fn default_cache_dir() -> std::path::PathBuf {
     let cwd = std::env::current_dir().unwrap_or_else(|_| std::path::PathBuf::from("."));
     let mut at = cwd.as_path();

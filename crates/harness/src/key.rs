@@ -1,27 +1,29 @@
 //! Canonical, collision-resistant cache keys for simulation jobs.
 //!
-//! A [`Job`](crate::cache::Job) used to be keyed by a ~25-field `format!`
-//! string — slow to build, allocation-heavy, and silently incomplete (it
-//! omitted the store buffer and the whole cache hierarchy). The structured
-//! encoder below serialises every field that influences a run into a
-//! canonical little-endian byte stream and hashes it with FNV-1a/128,
-//! giving a fixed-width `u128` key that is cheap to compare, to use as a
-//! `HashMap` key, and to name on-disk cache entries with.
+//! A job's key is the FNV-1a/128 hash of one canonical JSON document that
+//! holds the key schema version, the mix, the policy label, the
+//! participants, the scenario and [`SystemConfig::to_json`] — the same
+//! config codec `.h2trace` headers embed, so a knob is named in exactly
+//! one place and the key can never miss a field the codec carries. The
+//! fixed-width `u128` is cheap to compare, to use as a `HashMap` key, and
+//! to name on-disk cache entries with.
 //!
-//! Deliberate omissions: [`SystemConfig::telemetry`],
-//! [`SystemConfig::trace_sample`] (both are pure observations that never
-//! perturb timing — runs differing only in them are the same run; a traced
-//! replay of an untraced cache entry is handled by the cache's
-//! upgrade-on-miss rule, not by the key) and [`SystemConfig::mask_memo`]
-//! (the memo is bit-identical to direct policy calls). The literal keys pinned by the tests below must never move
+//! Deliberate omissions, inherited from the codec:
+//! [`SystemConfig::telemetry`], [`SystemConfig::trace_sample`] (both are
+//! pure observations that never perturb timing — runs differing only in
+//! them are the same run; a traced replay of an untraced cache entry is
+//! handled by the cache's upgrade-on-miss rule, not by the key) and
+//! [`SystemConfig::mask_memo`] (the memo is bit-identical to direct policy
+//! calls). The literal keys pinned by the tests below must never move
 //! without a [`KEY_SCHEMA_VERSION`] bump, or existing run stores go cold.
 
+use h2_sim_core::Json;
 use h2_system::{Participants, PolicyKind, SystemConfig};
 use h2_trace::{Mix, TenantScenario};
 
-/// Bump whenever the key encoding below changes shape, so persisted cache
+/// Bump whenever the key document below changes shape, so persisted cache
 /// entries keyed under the old scheme can never alias new ones.
-pub const KEY_SCHEMA_VERSION: u32 = 1;
+pub const KEY_SCHEMA_VERSION: u32 = 2;
 
 const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
@@ -36,119 +38,11 @@ pub fn fnv1a_128(bytes: &[u8]) -> u128 {
     h
 }
 
-/// Canonical byte-stream builder for key material.
-#[derive(Debug, Default)]
-pub struct KeyEncoder {
-    buf: Vec<u8>,
-}
-
-impl KeyEncoder {
-    /// Fresh encoder, pre-tagged with the key schema version.
-    pub fn new() -> Self {
-        let mut e = Self { buf: Vec::with_capacity(256) };
-        e.u32(KEY_SCHEMA_VERSION);
-        e
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-            None => self.u8(0),
-        }
-    }
-
-    /// Finish: hash the accumulated stream.
-    pub fn finish(&self) -> u128 {
-        fnv1a_128(&self.buf)
-    }
-}
-
-fn participants_tag(p: Participants) -> u8 {
-    match p {
-        Participants::Both => 0,
-        Participants::CpuOnly => 1,
-        Participants::GpuOnly => 2,
-    }
-}
-
-fn encode_mix(e: &mut KeyEncoder, mix: &Mix) {
-    e.str(mix.name);
-    for name in mix.cpu {
-        e.str(name);
-    }
-    e.str(mix.gpu);
-}
-
-fn encode_config(e: &mut KeyEncoder, c: &SystemConfig) {
-    e.u64(c.cpu_cores as u64);
-    e.u64(c.gpu_eus as u64);
-    e.u64(c.gpu_ctx_slots as u64);
-    e.u64(c.store_buffer as u64);
-    e.u64(c.cpu_mlp as u64);
-    e.f64(c.weights.0);
-    e.f64(c.weights.1);
-    for cache in [
-        &c.hierarchy.cpu_l1,
-        &c.hierarchy.cpu_l2,
-        &c.hierarchy.gpu_l1,
-        &c.hierarchy.llc,
-    ] {
-        e.u64(cache.size_bytes);
-        e.u64(cache.ways as u64);
-        e.u64(cache.line_bytes);
-        e.u64(cache.latency);
-    }
-    e.u64(c.hierarchy.eus_per_gpu_l1 as u64);
-    e.u64(c.block_bytes);
-    e.u64(c.assoc as u64);
-    // Debug strings are a stable, exhaustive discriminant for these small
-    // config enums (a new variant automatically gets a distinct tag).
-    e.str(&format!("{:?}", c.fast_preset));
-    e.u64(c.fast_channels as u64);
-    e.u64(c.slow_channels as u64);
-    e.str(&format!("{:?}", c.mode));
-    e.opt_u64(c.fast_capacity_override);
-    e.u64(c.footprint_scale);
-    e.u64(c.remap_cache_bytes);
-    e.u64(c.epoch_cycles);
-    e.u64(c.faucet_cycles);
-    e.u64(c.epochs_per_phase);
-    e.u64(c.warmup_cycles);
-    e.u64(c.measure_cycles);
-    e.u64(c.seed);
-    // `c.telemetry`, `c.trace_sample` and `c.mask_memo` intentionally
-    // excluded — see module docs.
-}
-
 /// The canonical key of one (config, mix, policy, participants, scenario)
 /// job. A scenario job keeps its mix as key material too (the harness uses
 /// a fixed placeholder mix for scenarios, so the scenario JSON is the
-/// distinguishing part): the scenario's canonical compact JSON covers
-/// every arrival/priority/churn knob in one stable byte stream.
+/// distinguishing part): the scenario's canonical JSON covers every
+/// arrival/priority/churn knob.
 pub fn job_key(
     cfg: &SystemConfig,
     mix: &Mix,
@@ -156,21 +50,24 @@ pub fn job_key(
     parts: Participants,
     scenario: Option<&TenantScenario>,
 ) -> u128 {
-    let mut e = KeyEncoder::new();
-    encode_mix(&mut e, mix);
-    // Labels are unique per policy variant, including the parameterised
-    // ones (swap variants, static (bw, cap, tok) points).
-    e.str(&kind.label());
-    e.u8(participants_tag(parts));
-    encode_config(&mut e, cfg);
-    match scenario {
-        Some(sc) => {
-            e.u8(1);
-            e.str(&sc.to_json().to_string_compact());
-        }
-        None => e.u8(0),
+    let mut cpu = Json::arr();
+    for name in mix.cpu {
+        cpu.push(name);
     }
-    e.finish()
+    let doc = Json::obj()
+        .field("mix", Json::obj().field("name", mix.name).field("cpu", cpu).field("gpu", mix.gpu))
+        // Labels are unique per policy variant, including the
+        // parameterised ones (swap variants, static (bw, cap, tok) points).
+        .field("policy", kind.label())
+        .field("participants", format!("{parts:?}"))
+        .field("scenario", scenario.map_or(Json::Null, TenantScenario::to_json))
+        .field("config", cfg.to_json())
+        // Last on purpose: FNV-1a carries a change in the final bytes into
+        // the key's top byte (the store shard) only through the
+        // multiplications that follow it, so every document ends with
+        // this fixed trailer.
+        .field("key_schema", KEY_SCHEMA_VERSION);
+    fnv1a_128(doc.to_string_compact().as_bytes())
 }
 
 #[cfg(test)]
@@ -187,28 +84,72 @@ mod tests {
         assert_ne!(fnv1a_128(b""), 0);
     }
 
-    #[test]
-    fn every_config_field_changes_the_key() {
-        let mix = Mix::by_name("C1").unwrap();
-        let base = SystemConfig::tiny();
-        let key = |c: &SystemConfig| job_key(c, &mix, PolicyKind::NoPart, Participants::Both, None);
-        let k0 = key(&base);
+    fn key(c: &SystemConfig) -> u128 {
+        job_key(c, &Mix::by_name("C1").unwrap(), PolicyKind::NoPart, Participants::Both, None)
+    }
 
-        let mut c = base.clone();
-        c.seed += 1;
-        assert_ne!(key(&c), k0, "seed");
-        let mut c = base.clone();
-        c.store_buffer += 1;
-        assert_ne!(key(&c), k0, "store_buffer (missing from the old string key)");
+    /// Every knob `set_param` names reaches both the config codec and the
+    /// key, and so do the knobs it does not name (hierarchy, weights,
+    /// fast-memory preset).
+    #[test]
+    fn every_config_knob_changes_the_codec_and_the_key() {
+        let base = SystemConfig::tiny();
+        let (j0, k0) = (base.to_json(), key(&base));
+        let mut changed: Vec<SystemConfig> = h2_system::config::PARAM_NAMES
+            .iter()
+            .map(|name| {
+                // One past the encoded value; `flat` and an unset capacity
+                // override have no integer encoding and go to 1.
+                let v = j0.get(name).and_then(Json::as_u64).map_or(1, |v| v + 1);
+                let mut c = base.clone();
+                c.set_param(name, v).unwrap_or_else(|e| panic!("{name}: {e}"));
+                c
+            })
+            .collect();
         let mut c = base.clone();
         c.hierarchy.llc.size_bytes *= 2;
-        assert_ne!(key(&c), k0, "hierarchy (missing from the old string key)");
+        changed.push(c);
         let mut c = base.clone();
-        c.fast_capacity_override = Some(123);
-        assert_ne!(key(&c), k0, "capacity override");
+        c.weights.1 += 1.0;
+        changed.push(c);
         let mut c = base.clone();
-        c.measure_cycles += 1;
-        assert_ne!(key(&c), k0, "measure window");
+        c.fast_preset = h2_mem::TimingPreset::Hbm3Super;
+        changed.push(c);
+        for (i, c) in changed.iter().enumerate() {
+            assert_ne!(c.to_json(), j0, "change {i} missing from to_json");
+            assert_ne!(key(c), k0, "change {i} missing from the key");
+        }
+    }
+
+    /// Jobs that differ only in the config's last field (`seed`, the
+    /// usual sweep axis) still spread over the store's top-byte shards.
+    #[test]
+    fn seed_sweeps_spread_over_store_shards() {
+        let mut c = SystemConfig::tiny();
+        let shards: std::collections::HashSet<u8> = (0..32)
+            .map(|s| {
+                c.seed = s;
+                (key(&c) >> 120) as u8
+            })
+            .collect();
+        assert!(shards.len() >= 16, "32 seeds landed in {} shards", shards.len());
+    }
+
+    /// Observation-only knobs never move the key: runs differing only in
+    /// them are the same run.
+    #[test]
+    fn observation_only_knobs_keep_the_key() {
+        let base = SystemConfig::tiny();
+        let k0 = key(&base);
+        let mut c = base.clone();
+        c.telemetry = !c.telemetry;
+        assert_eq!(key(&c), k0, "telemetry");
+        let mut c = base.clone();
+        c.trace_sample = Some(64);
+        assert_eq!(key(&c), k0, "trace_sample");
+        let mut c = base.clone();
+        c.mask_memo = !c.mask_memo;
+        assert_eq!(key(&c), k0, "mask_memo");
     }
 
     fn one_tenant_scenario() -> TenantScenario {
@@ -239,31 +180,13 @@ mod tests {
             &Mix::by_name("C1").unwrap(),
             PolicyKind::HydrogenFull,
         );
-        assert_eq!(quick.key(), 0x9814f590015badb9615f6fd602356af4);
+        assert_eq!(quick.key(), 0x61feb2d3013b616699fed224162fe7a1);
         let scenario = crate::cache::Job::scenario(
             &SystemConfig::tiny(),
             &one_tenant_scenario(),
             PolicyKind::NoPart,
         );
-        assert_eq!(scenario.key(), 0xf174d191b718f6fff09074e0ad2f1b09);
-    }
-
-    #[test]
-    fn telemetry_flag_does_not_change_the_key() {
-        let mix = Mix::by_name("C1").unwrap();
-        let mut c = SystemConfig::tiny();
-        let k0 = job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None);
-        c.telemetry = !c.telemetry;
-        assert_eq!(job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None), k0);
-    }
-
-    #[test]
-    fn trace_sample_does_not_change_the_key() {
-        let mix = Mix::by_name("C1").unwrap();
-        let mut c = SystemConfig::tiny();
-        let k0 = job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None);
-        c.trace_sample = Some(64);
-        assert_eq!(job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None), k0);
+        assert_eq!(scenario.key(), 0xb3cb08f6f124eb5a11e5dc9084aa2565);
     }
 
     #[test]

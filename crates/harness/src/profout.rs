@@ -8,9 +8,31 @@
 //! | `profile.json`   | canonical JSON (`h2-profile` v1)    | tooling, diffing    |
 //! | `profile.folded` | folded stacks, exclusive ns weights | flamegraph.pl et al |
 
-use h2_sim_core::prof::ProfReport;
+use h2_sim_core::prof::{self, ProfReport};
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// Run `body` with the self-profiler armed when `dir` is set, then print
+/// the profile tree and write the three artifacts into `dir`. `Err` names
+/// the directory that could not be written.
+pub fn with_profile<T>(dir: Option<&Path>, body: impl FnOnce() -> T) -> Result<T, String> {
+    let Some(dir) = dir else {
+        return Ok(body());
+    };
+    prof::set_alloc_probe(crate::alloc_count::allocs);
+    prof::reset();
+    prof::arm();
+    let out = body();
+    prof::disarm();
+    let report = prof::take_report();
+    let paths = write_profile(dir, &report)
+        .map_err(|e| format!("cannot write profile to {}: {e}", dir.display()))?;
+    print!("{}", report.render_text());
+    for p in &paths {
+        eprintln!("profile: {}", p.display());
+    }
+    Ok(out)
+}
 
 /// Write `profile.{txt,json,folded}` into `dir` (created if missing).
 /// Returns the three paths in that order.
@@ -30,7 +52,6 @@ pub fn write_profile(dir: &Path, report: &ProfReport) -> io::Result<[PathBuf; 3]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2_sim_core::prof;
 
     #[test]
     fn writes_all_three_artifacts() {

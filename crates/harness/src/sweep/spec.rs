@@ -35,124 +35,21 @@
 //! list at parse time.
 
 use crate::cache::Job;
-use h2_check::policy_by_name;
 use h2_sim_core::{Json, SeededRng};
 use h2_system::report::METRIC_NAMES;
-use h2_system::SystemConfig;
+use h2_system::{PolicyKind, SystemConfig};
 use h2_trace::{Mix, TenantScenario};
-
-/// Every sweepable [`SystemConfig`] parameter, by stable name.
-pub const PARAM_NAMES: &[&str] = &[
-    "seed",
-    "cpu_cores",
-    "gpu_eus",
-    "gpu_ctx_slots",
-    "store_buffer",
-    "cpu_mlp",
-    "block_bytes",
-    "assoc",
-    "fast_channels",
-    "slow_channels",
-    "epoch_cycles",
-    "faucet_cycles",
-    "epochs_per_phase",
-    "warmup_cycles",
-    "measure_cycles",
-    "footprint_scale",
-    "remap_cache_bytes",
-    "fast_capacity_override",
-    "flat",
-];
 
 /// The one axis name that does *not* set a [`SystemConfig`] field: it
 /// overrides the scenario seed of a scenario sweep (a spec with a
 /// `"scenario"` object), re-instantiating the tenant streams per point.
 pub const SCENARIO_SEED_PARAM: &str = "scenario_seed";
 
-/// Apply one named parameter to a config. `flat` is 0/1 and selects the
-/// hybrid organisation; everything else sets the field of the same name.
-pub fn apply_param(cfg: &mut SystemConfig, name: &str, value: u64) -> Result<(), String> {
-    let as_u32 = |v: u64| -> Result<u32, String> {
-        u32::try_from(v).map_err(|_| format!("parameter '{name}' = {v} exceeds u32"))
-    };
-    match name {
-        "seed" => cfg.seed = value,
-        "cpu_cores" => cfg.cpu_cores = value as usize,
-        "gpu_eus" => cfg.gpu_eus = value as usize,
-        "gpu_ctx_slots" => cfg.gpu_ctx_slots = as_u32(value)?,
-        "store_buffer" => cfg.store_buffer = as_u32(value)?,
-        "cpu_mlp" => cfg.cpu_mlp = as_u32(value)?,
-        "block_bytes" => cfg.block_bytes = value,
-        "assoc" => cfg.assoc = value as usize,
-        "fast_channels" => cfg.fast_channels = value as usize,
-        "slow_channels" => cfg.slow_channels = value as usize,
-        "epoch_cycles" => cfg.epoch_cycles = value,
-        "faucet_cycles" => cfg.faucet_cycles = value,
-        "epochs_per_phase" => cfg.epochs_per_phase = value,
-        "warmup_cycles" => cfg.warmup_cycles = value,
-        "measure_cycles" => cfg.measure_cycles = value,
-        "footprint_scale" => cfg.footprint_scale = value,
-        "remap_cache_bytes" => cfg.remap_cache_bytes = value,
-        "fast_capacity_override" => cfg.fast_capacity_override = Some(value),
-        "flat" => {
-            cfg.mode = match value {
-                0 => h2_hybrid::types::Mode::Cache,
-                1 => h2_hybrid::types::Mode::Flat,
-                _ => return Err(format!("parameter 'flat' must be 0 or 1, got {value}")),
-            }
-        }
-        _ => {
-            return Err(format!(
-                "unknown sweep parameter '{name}' (known: {})",
-                PARAM_NAMES.join(", ")
-            ))
-        }
-    }
-    Ok(())
-}
-
-/// The base configuration a sweep starts from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// [`SystemConfig::tiny`] — test scale, sub-second jobs.
-    Tiny,
-    /// [`SystemConfig::scaled`] — the default laptop scale.
-    Scaled,
-    /// [`SystemConfig::paper`] — verbatim Table I (long jobs).
-    Paper,
-}
-
-impl Scale {
-    fn as_str(self) -> &'static str {
-        match self {
-            Scale::Tiny => "tiny",
-            Scale::Scaled => "scaled",
-            Scale::Paper => "paper",
-        }
-    }
-
-    fn parse(s: &str) -> Result<Scale, String> {
-        match s {
-            "tiny" => Ok(Scale::Tiny),
-            "scaled" => Ok(Scale::Scaled),
-            "paper" => Ok(Scale::Paper),
-            _ => Err(format!("unknown scale '{s}' (tiny | scaled | paper)")),
-        }
-    }
-
-    fn config(self) -> SystemConfig {
-        match self {
-            Scale::Tiny => SystemConfig::tiny(),
-            Scale::Scaled => SystemConfig::scaled(),
-            Scale::Paper => SystemConfig::paper(),
-        }
-    }
-}
-
 /// One search axis: a parameter name and its ordered candidate values.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Axis {
-    /// Parameter name (see [`PARAM_NAMES`]).
+    /// Parameter name: one of [`h2_system::config::PARAM_NAMES`], or
+    /// [`SCENARIO_SEED_PARAM`].
     pub name: String,
     /// Candidate values, in spec order (ranges expand low to high).
     pub values: Vec<u64>,
@@ -243,11 +140,11 @@ impl SweepPoint {
 pub struct SweepSpec {
     /// Campaign name: the JSONL/CSV file stem (`[a-zA-Z0-9_-]+`).
     pub name: String,
-    /// Base configuration scale.
-    pub scale: Scale,
+    /// Base configuration preset name ([`SystemConfig::preset`]).
+    pub scale: String,
     /// Workload mixes, by Table II name.
     pub mixes: Vec<String>,
-    /// Policies, by stable fuzz-catalog name (see [`h2_check::POLICIES`]).
+    /// Policies, by stable name (see [`PolicyKind::CATALOG`]).
     pub policies: Vec<String>,
     /// Fixed parameter overrides applied before every point.
     pub base: Vec<(String, u64)>,
@@ -339,9 +236,10 @@ impl SweepSpec {
             .ok_or("spec needs a 'name' string")?
             .to_string();
         let scale = match j.get("scale") {
-            Some(v) => Scale::parse(v.as_str().ok_or("'scale' must be a string")?)?,
-            None => Scale::Tiny,
+            Some(v) => v.as_str().ok_or("'scale' must be a string")?.to_string(),
+            None => "tiny".to_string(),
         };
+        SystemConfig::preset(&scale)?;
         let scenario = match j.get("scenario") {
             None => None,
             Some(s) => Some(TenantScenario::from_json(s).map_err(|e| format!("scenario: {e}"))?),
@@ -479,14 +377,9 @@ impl SweepSpec {
             return Err("spec needs at least one policy".into());
         }
         for p in &self.policies {
-            policy_by_name(p).ok_or_else(|| {
-                format!("unknown policy '{p}' (see h2_check::POLICIES for stable names)")
-            })?;
+            PolicyKind::by_name(p)?;
         }
-        let mut probe = self.scale.config();
-        for (n, v) in &self.base {
-            apply_param(&mut probe, n, *v)?;
-        }
+        let probe = self.base_config()?;
         for ax in self.search.params() {
             if ax.values.is_empty() {
                 return Err(format!("axis '{}' has no values", ax.name));
@@ -504,7 +397,7 @@ impl SweepSpec {
                     ));
                 }
             } else {
-                apply_param(&mut probe.clone(), &ax.name, ax.values[0])?;
+                probe.clone().set_param(&ax.name, ax.values[0])?;
             }
         }
         match &self.search {
@@ -531,9 +424,9 @@ impl SweepSpec {
 
     /// The base config: scale preset plus the fixed overrides.
     pub fn base_config(&self) -> Result<SystemConfig, String> {
-        let mut cfg = self.scale.config();
+        let mut cfg = SystemConfig::preset(&self.scale)?;
         for (n, v) in &self.base {
-            apply_param(&mut cfg, n, *v)?;
+            cfg.set_param(n, *v)?;
         }
         Ok(cfg)
     }
@@ -549,7 +442,7 @@ impl SweepSpec {
                 scenario_seed = Some(*v);
                 continue;
             }
-            apply_param(&mut cfg, n, *v)?;
+            cfg.set_param(n, *v)?;
         }
         cfg.validate().map_err(|e| format!("point [{}]: {e}", point.label()))?;
         if let Some(sc) = &self.scenario {
@@ -559,9 +452,7 @@ impl SweepSpec {
             }
             let mut jobs = Vec::with_capacity(self.policies.len());
             for policy in &self.policies {
-                let kind = policy_by_name(policy)
-                    .ok_or_else(|| format!("unknown policy '{policy}'"))?;
-                jobs.push(Job::scenario(&cfg, &sc, kind));
+                jobs.push(Job::scenario(&cfg, &sc, PolicyKind::by_name(policy)?));
             }
             return Ok(jobs);
         }
@@ -575,9 +466,7 @@ impl SweepSpec {
         for mix_name in &self.mixes {
             let mix = Mix::by_name(mix_name).ok_or_else(|| format!("unknown mix '{mix_name}'"))?;
             for policy in &self.policies {
-                let kind = policy_by_name(policy)
-                    .ok_or_else(|| format!("unknown policy '{policy}'"))?;
-                jobs.push(Job::new(&cfg, &mix, kind));
+                jobs.push(Job::new(&cfg, &mix, PolicyKind::by_name(policy)?));
             }
         }
         Ok(jobs)
@@ -830,7 +719,7 @@ mod tests {
 
         let mut s = grid_spec();
         s.base = vec![("not_a_param".into(), 1)];
-        assert!(s.validate().unwrap_err().contains("unknown sweep parameter"));
+        assert!(s.validate().unwrap_err().contains("unknown parameter"));
 
         let mut s = grid_spec();
         s.search = Search::HillClimb {
@@ -925,13 +814,23 @@ mod tests {
     }
 
     #[test]
-    fn apply_param_covers_every_listed_name() {
-        for name in PARAM_NAMES {
-            let mut cfg = SystemConfig::tiny();
-            apply_param(&mut cfg, name, 1).unwrap_or_else(|e| panic!("{name}: {e}"));
+    fn axes_accept_exactly_the_config_params_and_scenario_seed() {
+        let names = h2_system::config::PARAM_NAMES;
+        assert_eq!(names.len(), 19);
+        let mut spec = scenario_spec();
+        let mut one_axis = |name: &str| {
+            spec.search = Search::Grid { params: vec![Axis { name: name.into(), values: vec![1] }] };
+            spec.validate()
+        };
+        for name in names.iter().copied().chain([SCENARIO_SEED_PARAM]) {
+            one_axis(name).unwrap_or_else(|e| panic!("{name}: {e}"));
         }
-        let mut cfg = SystemConfig::tiny();
-        assert!(apply_param(&mut cfg, "flat", 2).is_err());
-        assert!(apply_param(&mut cfg, "warp_factor", 1).unwrap_err().contains("unknown"));
+        for name in ["telemetry", "trace_sample", "mask_memo", "weights", "warp_factor"] {
+            assert!(one_axis(name).unwrap_err().contains("unknown parameter"), "{name}");
+        }
+        assert!(SweepSpec::parse(r#"{"name":"x","scale":"huge","mixes":["C1"],"policies":["NoPart"],
+                "search":{"kind":"grid","params":{"seed":[1]}}}"#)
+            .unwrap_err()
+            .contains("unknown scale"));
     }
 }

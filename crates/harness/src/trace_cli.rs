@@ -16,8 +16,7 @@
 //! `--replay --capture` re-captures the identical byte stream (the
 //! capture→replay→capture fixpoint the CI smoke job pins with `cmp`).
 
-use h2_check::policy_by_name;
-use h2_sim_core::{prof, Json, LogHistogram};
+use h2_sim_core::{Json, LogHistogram};
 use h2_system::{
     plan_from_workloads, replay_config, replay_plan, run_plan_monitored, scenario_config,
     scenario_plan, PolicyKind, RunReport, SystemConfig,
@@ -36,7 +35,7 @@ pub struct TraceRunArgs {
     pub replay: Option<PathBuf>,
     /// Classic Table II mix to capture (`--capture` without `--scenario`).
     pub mix: Option<String>,
-    /// Policy name (fuzz-catalog stable names); replay defaults to the
+    /// Policy name ([`PolicyKind::CATALOG`]); replay defaults to the
     /// captured policy, everything else to `NoPart`.
     pub policy: Option<String>,
     /// Base config scale: `tiny` (default) | `scaled` | `paper`.
@@ -94,12 +93,7 @@ impl TraceRunArgs {
     }
 
     fn base_config(&self) -> Result<SystemConfig, String> {
-        let mut cfg = match self.scale.as_deref().unwrap_or("tiny") {
-            "tiny" => SystemConfig::tiny(),
-            "scaled" => SystemConfig::scaled(),
-            "paper" => SystemConfig::paper(),
-            other => return Err(format!("unknown scale '{other}' (tiny | scaled | paper)")),
-        };
+        let mut cfg = SystemConfig::preset(self.scale.as_deref().unwrap_or("tiny"))?;
         if let Some(s) = self.seed {
             cfg.seed = s;
         }
@@ -108,10 +102,7 @@ impl TraceRunArgs {
 
     fn policy(&self, default: &str) -> Result<(String, PolicyKind), String> {
         let name = self.policy.as_deref().unwrap_or(default);
-        let kind = policy_by_name(name).ok_or_else(|| {
-            format!("unknown policy '{name}' (see h2_check::POLICIES for stable names)")
-        })?;
-        Ok((name.to_string(), kind))
+        Ok((name.to_string(), PolicyKind::by_name(name)?))
     }
 }
 
@@ -190,11 +181,14 @@ pub fn run_mix_capture(
 }
 
 /// Replay a decoded trace file using its embedded header (config, policy,
-/// fast capacity). `policy_override` substitutes the policy; `recapture`
-/// re-captures the replayed pull stream for the fixpoint check.
+/// fast capacity). `policy_override` substitutes the policy;
+/// `trace_sample` traces the replay (an observation the header does not
+/// carry); `recapture` re-captures the replayed pull stream for the
+/// fixpoint check.
 pub fn replay_trace(
     file: &TraceFile,
     policy_override: Option<&str>,
+    trace_sample: Option<u64>,
     recapture: bool,
 ) -> Result<(RunReport, String, Option<TraceFile>), String> {
     let meta_cfg = SystemConfig::from_json(
@@ -212,15 +206,14 @@ pub fn replay_trace(
             .ok_or("trace header has no 'policy' (pass --policy to choose one)")?
             .to_string(),
     };
-    let kind = policy_by_name(&policy).ok_or_else(|| {
-        format!("unknown policy '{policy}' (see h2_check::POLICIES for stable names)")
-    })?;
+    let kind = PolicyKind::by_name(&policy)?;
     let fast_capacity = file
         .meta
         .get("fast_capacity")
         .and_then(Json::as_u64)
         .ok_or("trace header has no 'fast_capacity'")?;
-    let cfg = replay_config(&meta_cfg, file);
+    let mut cfg = replay_config(&meta_cfg, file);
+    cfg.trace_sample = trace_sample;
     let mut cap = None;
     let report = run_plan_monitored(
         &cfg,
@@ -296,69 +289,82 @@ pub fn render_report(r: &RunReport, policy: &str) -> String {
     out
 }
 
-fn write_telemetry(r: &RunReport, policy: &str, dir: &Path) -> Result<Option<PathBuf>, String> {
-    let Some(json) = r.telemetry_json_string() else {
-        return Ok(None);
-    };
+/// Write one dump of a trace-mode run as `<dir>/<mix>_<policy>.<ext>`.
+fn write_dump(
+    r: &RunReport,
+    policy: &str,
+    dir: &Path,
+    ext: &str,
+    doc: &str,
+) -> Result<PathBuf, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let name: String = r
         .mix
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
         .collect();
-    let path = dir.join(format!("{name}_{policy}.json"));
-    std::fs::write(&path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    Ok(Some(path))
+    let path = dir.join(format!("{name}_{policy}.{ext}"));
+    std::fs::write(&path, doc).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    Ok(path)
+}
+
+/// Write the run's telemetry timeline (`--telemetry <dir>`) and Perfetto
+/// request trace (`--trace <dir>`) where asked.
+fn write_outputs(
+    r: &RunReport,
+    policy: &str,
+    telemetry: Option<&Path>,
+    trace: Option<(&Path, u64)>,
+) -> Result<(), String> {
+    if let (Some(dir), Some(doc)) = (telemetry, r.telemetry_json_string()) {
+        let p = write_dump(r, policy, dir, "json", &doc)?;
+        eprintln!("[h2 run] telemetry: {}", p.display());
+    }
+    if let (Some((dir, _)), Some(doc)) = (trace, r.chrome_trace_json_string()) {
+        let p = write_dump(r, policy, dir, "trace.json", &doc)?;
+        eprintln!("[h2 run] trace: {}", p.display());
+    }
+    Ok(())
 }
 
 /// Run `h2 run` in trace mode end to end; returns the process exit code.
-/// `profile_dir` arms the host-side self-profiler (DESIGN.md §17) around
-/// the run and writes the profile artifacts there.
+/// `telemetry` and `trace` (directory, sampling rate) are the `--telemetry`
+/// and `--trace`/`--trace-sample` outputs. `profile_dir` arms the
+/// host-side self-profiler (DESIGN.md §17) around the run and writes the
+/// profile artifacts there.
 pub fn cmd_run_trace(
     args: &[String],
-    telemetry_dir: Option<&Path>,
+    telemetry: Option<&Path>,
+    trace: Option<(&Path, u64)>,
     profile_dir: Option<&Path>,
 ) -> i32 {
-    if profile_dir.is_some() {
-        prof::set_alloc_probe(crate::alloc_count::allocs);
-        prof::reset();
-        prof::arm();
-    }
-    let result = run_trace_inner(args, telemetry_dir);
-    if let Some(dir) = profile_dir {
-        prof::disarm();
-        let report = prof::take_report();
-        match crate::profout::write_profile(dir, &report) {
-            Ok(paths) => {
-                print!("{}", report.render_text());
-                for p in &paths {
-                    eprintln!("profile: {}", p.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("cannot write profile to {}: {e}", dir.display());
-                return 2;
-            }
-        }
-    }
-    match result {
-        Ok(()) => 0,
-        Err(e) => {
+    let run = || run_trace_inner(args, telemetry, trace);
+    match crate::profout::with_profile(profile_dir, run) {
+        Ok(Ok(())) => 0,
+        Ok(Err(e)) | Err(e) => {
             eprintln!("{e}");
             2
         }
     }
 }
 
-fn run_trace_inner(args: &[String], telemetry_dir: Option<&Path>) -> Result<(), String> {
+fn run_trace_inner(
+    args: &[String],
+    telemetry: Option<&Path>,
+    trace: Option<(&Path, u64)>,
+) -> Result<(), String> {
     let parsed = TraceRunArgs::parse(args)?;
 
     if let Some(path) = &parsed.replay {
         let bytes =
             std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let file = TraceFile::decode(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
-        let (report, policy, refile) =
-            replay_trace(&file, parsed.policy.as_deref(), parsed.capture.is_some())?;
+        let (report, policy, refile) = replay_trace(
+            &file,
+            parsed.policy.as_deref(),
+            trace.map(|(_, n)| n),
+            parsed.capture.is_some(),
+        )?;
         print!("{}", render_report(&report, &policy));
         if let (Some(out), Some(refile)) = (&parsed.capture, refile) {
             std::fs::write(out, refile.encode())
@@ -369,18 +375,11 @@ fn run_trace_inner(args: &[String], telemetry_dir: Option<&Path>) -> Result<(), 
                 trace_records(&refile)
             );
         }
-        if let Some(dir) = telemetry_dir {
-            if let Some(p) = write_telemetry(&report, &policy, dir)? {
-                eprintln!("[h2 run] telemetry: {}", p.display());
-            }
-        }
-        return Ok(());
+        return write_outputs(&report, &policy, telemetry, trace);
     }
 
     let mut cfg = parsed.base_config()?;
-    if telemetry_dir.is_some() {
-        cfg.telemetry = true;
-    }
+    cfg.trace_sample = trace.map(|(_, n)| n);
 
     let (report, policy, file) = if let Some(spec) = &parsed.scenario {
         let text = std::fs::read_to_string(spec)
@@ -406,12 +405,7 @@ fn run_trace_inner(args: &[String], telemetry_dir: Option<&Path>) -> Result<(), 
             .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
         eprintln!("[h2 run] captured {} ({} records)", out.display(), trace_records(file));
     }
-    if let Some(dir) = telemetry_dir {
-        if let Some(p) = write_telemetry(&report, &policy, dir)? {
-            eprintln!("[h2 run] telemetry: {}", p.display());
-        }
-    }
-    Ok(())
+    write_outputs(&report, &policy, telemetry, trace)
 }
 
 /// True when `h2 run`'s arguments select trace mode.
@@ -459,7 +453,7 @@ mod tests {
         let file = file.unwrap();
         // Decode from bytes, replay purely from the header.
         let decoded = TraceFile::decode(&file.encode()).unwrap();
-        let (rep, policy, refile) = replay_trace(&decoded, None, true).unwrap();
+        let (rep, policy, refile) = replay_trace(&decoded, None, None, true).unwrap();
         assert_eq!(policy, "NoPart");
         assert_eq!(diff_reports_no_telemetry(&orig, &rep), None);
         // Fixpoint: re-captured bytes are identical.
@@ -477,10 +471,10 @@ mod tests {
         let mix = Mix::by_name("C1").unwrap();
         let mut cfg = SystemConfig::tiny();
         cfg.telemetry = false;
-        let (orig, file) = run_mix_capture(&cfg, &mix, "WayPart", policy_by_name("WayPart").unwrap());
+        let (orig, file) = run_mix_capture(&cfg, &mix, "WayPart", PolicyKind::WayPart);
         assert!(orig.tenants.is_empty());
         assert_eq!(file.tenants.len(), 1, "untagged captures carry the default tenant");
-        let (rep, policy, _) = replay_trace(&file, None, false).unwrap();
+        let (rep, policy, _) = replay_trace(&file, None, None, false).unwrap();
         assert_eq!(policy, "WayPart");
         assert_eq!(diff_reports_no_telemetry(&orig, &rep), None);
         assert!(rep.tenants.is_empty(), "untagged replay reports no tenants");
@@ -495,7 +489,7 @@ mod tests {
             tenants: vec![],
             units: vec![],
         };
-        let err = replay_trace(&file, None, false).unwrap_err();
+        let err = replay_trace(&file, None, None, false).unwrap_err();
         assert!(err.contains("config"), "{err}");
     }
 

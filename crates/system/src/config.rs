@@ -316,6 +316,8 @@ impl SystemConfig {
     /// are deliberately *not* part of the
     /// encoding — they never change simulation results, so a replayed run
     /// starts from their defaults and the caller sets whatever it wants.
+    /// Every integer knob goes through [`SystemConfig::set_param`], so a
+    /// value that does not fit its field is an error, never a truncation.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         fn u64f(j: &Json, name: &str) -> Result<u64, String> {
             j.get(name)
@@ -337,63 +339,134 @@ impl SystemConfig {
             Ok(CacheConfig {
                 name: strf(c, "name")?.to_string(),
                 size_bytes: u64f(c, "size_bytes")?,
-                ways: u64f(c, "ways")? as usize,
+                ways: narrow("ways", u64f(c, "ways")?)?,
                 line_bytes: u64f(c, "line_bytes")?,
                 latency: u64f(c, "latency")?,
             })
         }
         let h = j.get("hierarchy").ok_or("config missing field 'hierarchy'")?;
-        let cfg = SystemConfig {
-            cpu_cores: u64f(j, "cpu_cores")? as usize,
-            gpu_eus: u64f(j, "gpu_eus")? as usize,
-            gpu_ctx_slots: u64f(j, "gpu_ctx_slots")? as u32,
-            store_buffer: u64f(j, "store_buffer")? as u32,
-            cpu_mlp: u64f(j, "cpu_mlp")? as u32,
-            weights: (f64f(j, "weight_cpu")?, f64f(j, "weight_gpu")?),
-            hierarchy: HierarchyConfig {
-                cpu_l1: cache(h, "cpu_l1")?,
-                cpu_l2: cache(h, "cpu_l2")?,
-                gpu_l1: cache(h, "gpu_l1")?,
-                llc: cache(h, "llc")?,
-                eus_per_gpu_l1: u64f(h, "eus_per_gpu_l1")? as usize,
-            },
-            block_bytes: u64f(j, "block_bytes")?,
-            assoc: u64f(j, "assoc")? as usize,
-            fast_preset: match strf(j, "fast_preset")? {
-                "hbm2e" => TimingPreset::Hbm2eSuper,
-                "hbm3" => TimingPreset::Hbm3Super,
-                "ddr4" => TimingPreset::Ddr4,
-                other => return Err(format!("unknown fast_preset '{other}'")),
-            },
-            fast_channels: u64f(j, "fast_channels")? as usize,
-            slow_channels: u64f(j, "slow_channels")? as usize,
-            mode: match strf(j, "mode")? {
-                "cache" => Mode::Cache,
-                "flat" => Mode::Flat,
-                other => return Err(format!("unknown mode '{other}'")),
-            },
-            fast_capacity_override: match j.get("fast_capacity_override") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(
-                    v.as_u64()
-                        .ok_or("config 'fast_capacity_override' must be u64 or null")?,
-                ),
-            },
-            footprint_scale: u64f(j, "footprint_scale")?,
-            remap_cache_bytes: u64f(j, "remap_cache_bytes")?,
-            epoch_cycles: u64f(j, "epoch_cycles")?,
-            faucet_cycles: u64f(j, "faucet_cycles")?,
-            epochs_per_phase: u64f(j, "epochs_per_phase")?,
-            warmup_cycles: u64f(j, "warmup_cycles")?,
-            measure_cycles: u64f(j, "measure_cycles")?,
-            seed: u64f(j, "seed")?,
-            telemetry: true,
-            trace_sample: None,
-            mask_memo: true,
+        // The observation-only knobs keep `paper()`'s defaults (telemetry
+        // on, tracing off, memo on); every other field is read below.
+        let mut cfg = SystemConfig::paper();
+        for name in PARAM_NAMES {
+            match name {
+                // Encoded as the "mode" string.
+                "flat" => {}
+                "fast_capacity_override" => match j.get(name) {
+                    None | Some(Json::Null) => cfg.fast_capacity_override = None,
+                    Some(v) => cfg.set_param(
+                        name,
+                        v.as_u64().ok_or("config 'fast_capacity_override' must be u64 or null")?,
+                    )?,
+                },
+                _ => cfg.set_param(name, u64f(j, name)?)?,
+            }
+        }
+        cfg.weights = (f64f(j, "weight_cpu")?, f64f(j, "weight_gpu")?);
+        cfg.hierarchy = HierarchyConfig {
+            cpu_l1: cache(h, "cpu_l1")?,
+            cpu_l2: cache(h, "cpu_l2")?,
+            gpu_l1: cache(h, "gpu_l1")?,
+            llc: cache(h, "llc")?,
+            eus_per_gpu_l1: narrow("eus_per_gpu_l1", u64f(h, "eus_per_gpu_l1")?)?,
+        };
+        cfg.fast_preset = match strf(j, "fast_preset")? {
+            "hbm2e" => TimingPreset::Hbm2eSuper,
+            "hbm3" => TimingPreset::Hbm3Super,
+            "ddr4" => TimingPreset::Ddr4,
+            other => return Err(format!("unknown fast_preset '{other}'")),
+        };
+        cfg.mode = match strf(j, "mode")? {
+            "cache" => Mode::Cache,
+            "flat" => Mode::Flat,
+            other => return Err(format!("unknown mode '{other}'")),
         };
         cfg.validate()?;
         Ok(cfg)
     }
+
+    /// A named base configuration: `tiny`, `scaled` or `paper` (sweep
+    /// specs' `"scale"` and `h2 run --scale`).
+    pub fn preset(name: &str) -> Result<Self, String> {
+        match name {
+            "tiny" => Ok(Self::tiny()),
+            "scaled" => Ok(Self::scaled()),
+            "paper" => Ok(Self::paper()),
+            _ => Err(format!("unknown scale '{name}' (tiny | scaled | paper)")),
+        }
+    }
+
+    /// Set one integer knob by its stable name (see [`PARAM_NAMES`]).
+    /// `flat` is 0/1 and selects the hybrid organisation; every other name
+    /// sets the field of the same name. A value that does not fit the
+    /// field is an error. The result is not validated: call
+    /// [`SystemConfig::validate`] once all knobs are set.
+    pub fn set_param(&mut self, name: &str, value: u64) -> Result<(), String> {
+        match name {
+            "seed" => self.seed = value,
+            "cpu_cores" => self.cpu_cores = narrow(name, value)?,
+            "gpu_eus" => self.gpu_eus = narrow(name, value)?,
+            "gpu_ctx_slots" => self.gpu_ctx_slots = narrow(name, value)?,
+            "store_buffer" => self.store_buffer = narrow(name, value)?,
+            "cpu_mlp" => self.cpu_mlp = narrow(name, value)?,
+            "block_bytes" => self.block_bytes = value,
+            "assoc" => self.assoc = narrow(name, value)?,
+            "fast_channels" => self.fast_channels = narrow(name, value)?,
+            "slow_channels" => self.slow_channels = narrow(name, value)?,
+            "epoch_cycles" => self.epoch_cycles = value,
+            "faucet_cycles" => self.faucet_cycles = value,
+            "epochs_per_phase" => self.epochs_per_phase = value,
+            "warmup_cycles" => self.warmup_cycles = value,
+            "measure_cycles" => self.measure_cycles = value,
+            "footprint_scale" => self.footprint_scale = value,
+            "remap_cache_bytes" => self.remap_cache_bytes = value,
+            "fast_capacity_override" => self.fast_capacity_override = Some(value),
+            "flat" => {
+                self.mode = match value {
+                    0 => Mode::Cache,
+                    1 => Mode::Flat,
+                    _ => return Err(format!("parameter 'flat' must be 0 or 1, got {value}")),
+                }
+            }
+            _ => {
+                return Err(format!(
+                    "unknown parameter '{name}' (known: {})",
+                    PARAM_NAMES.join(", ")
+                ))
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Every knob [`SystemConfig::set_param`] accepts, by stable name.
+pub const PARAM_NAMES: [&str; 19] = [
+    "seed",
+    "cpu_cores",
+    "gpu_eus",
+    "gpu_ctx_slots",
+    "store_buffer",
+    "cpu_mlp",
+    "block_bytes",
+    "assoc",
+    "fast_channels",
+    "slow_channels",
+    "epoch_cycles",
+    "faucet_cycles",
+    "epochs_per_phase",
+    "warmup_cycles",
+    "measure_cycles",
+    "footprint_scale",
+    "remap_cache_bytes",
+    "fast_capacity_override",
+    "flat",
+];
+
+/// Checked narrowing of a knob value to its field type.
+fn narrow<T: TryFrom<u64>>(name: &str, value: u64) -> Result<T, String> {
+    T::try_from(value).map_err(|_| {
+        format!("parameter '{name}' = {value} exceeds {}", std::any::type_name::<T>())
+    })
 }
 
 #[cfg(test)]
@@ -500,6 +573,46 @@ mod tests {
         let mut c = SystemConfig::tiny();
         c.epoch_cycles = 0; // invalid per validate()
         assert!(SystemConfig::from_json(&c.to_json()).is_err());
+    }
+
+    #[test]
+    fn from_json_rejects_integers_that_do_not_fit_their_field() {
+        for name in ["gpu_ctx_slots", "store_buffer", "cpu_mlp"] {
+            let mut j = SystemConfig::tiny().to_json();
+            let Json::Obj(fields) = &mut j else { unreachable!() };
+            fields.iter_mut().find(|(n, _)| n == name).unwrap().1 = Json::U64((1 << 32) + 2);
+            let err = SystemConfig::from_json(&j).unwrap_err();
+            assert!(err.contains(name) && err.contains("exceeds"), "{name}: {err}");
+        }
+    }
+
+    #[test]
+    fn set_param_checks_names_and_ranges() {
+        let mut c = SystemConfig::tiny();
+        for name in PARAM_NAMES {
+            c.set_param(name, 1).unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+        assert_eq!(c.mode, Mode::Flat);
+        assert!(c.set_param("flat", 2).is_err());
+        assert!(c.set_param("cpu_mlp", u64::from(u32::MAX) + 1).unwrap_err().contains("exceeds"));
+        assert!(c.set_param("warp_factor", 1).unwrap_err().contains("unknown parameter"));
+        // Observation-only knobs are not parameters.
+        for name in ["telemetry", "trace_sample", "mask_memo"] {
+            assert!(c.set_param(name, 1).is_err(), "{name}");
+        }
+    }
+
+    #[test]
+    fn presets_name_the_shipped_configs() {
+        for (name, c) in [
+            ("tiny", SystemConfig::tiny()),
+            ("scaled", SystemConfig::scaled()),
+            ("paper", SystemConfig::paper()),
+        ] {
+            let p = SystemConfig::preset(name).unwrap();
+            assert_eq!(p.to_json(), c.to_json(), "{name}");
+        }
+        assert!(SystemConfig::preset("huge").unwrap_err().contains("unknown scale"));
     }
 
     #[test]

@@ -95,6 +95,33 @@ impl PolicyKind {
         }
     }
 
+    /// The stable names of the unparameterised designs, the names sweep
+    /// specs, `h2 run --policy` and `.h2trace` headers use. The order is
+    /// part of the contract: the fuzzer samples by index. Parameterised
+    /// kinds (`HydrogenStatic`, swap variants, `HydrogenIdealReconfig`)
+    /// have no stable name.
+    pub const CATALOG: [(&'static str, PolicyKind); 11] = [
+        ("NoPart", PolicyKind::NoPart),
+        ("NoMigrate", PolicyKind::NoMigrate),
+        ("WayPart", PolicyKind::WayPart),
+        ("HashCache", PolicyKind::HashCache),
+        ("Profess", PolicyKind::Profess),
+        ("Kim2012", PolicyKind::Kim2012),
+        ("SetPart", PolicyKind::SetPart),
+        ("HydrogenDp", PolicyKind::HydrogenDp),
+        ("HydrogenDpToken", PolicyKind::HydrogenDpToken),
+        ("HydrogenFull", PolicyKind::HydrogenFull),
+        ("HydrogenPerChannelTokens", PolicyKind::HydrogenPerChannelTokens),
+    ];
+
+    /// Look up a design by its stable [`PolicyKind::CATALOG`] name.
+    pub fn by_name(name: &str) -> Result<PolicyKind, String> {
+        Self::CATALOG.iter().find(|(n, _)| *n == name).map(|(_, k)| *k).ok_or_else(|| {
+            let known: Vec<&str> = Self::CATALOG.iter().map(|(n, _)| *n).collect();
+            format!("unknown policy '{name}' (known: {})", known.join(", "))
+        })
+    }
+
     /// The designs of Fig 5, in plot order.
     pub fn fig5_designs() -> Vec<PolicyKind> {
         vec![
@@ -247,6 +274,15 @@ mod tests {
         assert_eq!(params.bw, 2);
         assert_eq!(params.cap, 2);
         assert_eq!(params.tok, 1);
+    }
+
+    #[test]
+    fn every_catalog_name_resolves_to_its_kind() {
+        for (name, kind) in PolicyKind::CATALOG {
+            assert_eq!(PolicyKind::by_name(name), Ok(kind));
+        }
+        let err = PolicyKind::by_name("nope").unwrap_err();
+        assert!(err.contains("unknown policy") && err.contains("HydrogenFull"), "{err}");
     }
 
     #[test]

@@ -36,7 +36,7 @@ fn replay(file: &TraceFile) -> h2_system::RunReport {
     let meta_cfg = SystemConfig::from_json(file.meta.get("config").expect("capture embeds config"))
         .expect("embedded config must decode");
     let policy = file.meta.get("policy").and_then(Json::as_str).expect("capture embeds policy");
-    let kind = h2_check::policy_by_name(policy).expect("embedded policy resolves");
+    let kind = PolicyKind::by_name(policy).expect("embedded policy resolves");
     let fast = file
         .meta
         .get("fast_capacity")
@@ -71,7 +71,7 @@ fn mix_capture_replays_bit_identically() {
     let mix = Mix::by_name("C1").unwrap();
     let cfg = short_cfg(7);
     let (orig, file) =
-        run_mix_capture(&cfg, &mix, "WayPart", h2_check::policy_by_name("WayPart").unwrap());
+        run_mix_capture(&cfg, &mix, "WayPart", PolicyKind::WayPart);
     assert!(orig.tenants.is_empty(), "classic mix runs are untagged");
     assert_replays_clean(&orig, &file.encode(), "mix C1");
 }
@@ -84,14 +84,14 @@ fn capture_replay_capture_is_a_byte_fixpoint() {
     let bytes = file.expect("capture requested").encode();
 
     let decoded = TraceFile::decode(&bytes).unwrap();
-    let (_, _, refile) = replay_trace(&decoded, None, true).expect("replay from header");
+    let (_, _, refile) = replay_trace(&decoded, None, None, true).expect("replay from header");
     let rebytes = refile.expect("re-capture requested").encode();
     assert_eq!(bytes, rebytes, "capture→replay→capture must be byte-identical");
 
     // And the fixpoint is stable: replaying the re-capture captures the
     // same bytes again.
     let (_, _, refile2) =
-        replay_trace(&TraceFile::decode(&rebytes).unwrap(), None, true).unwrap();
+        replay_trace(&TraceFile::decode(&rebytes).unwrap(), None, None, true).unwrap();
     assert_eq!(refile2.unwrap().encode(), rebytes, "fixpoint must be stable");
 }
 
@@ -179,7 +179,7 @@ fn committed_trace_fixture_is_canonical_and_replays_clean() {
     assert_eq!(file.encode(), bytes, "fixture must be canonical");
     assert_eq!(file.tenants.len(), 2);
 
-    let (rep, policy, refile) = replay_trace(&file, None, true).expect("fixture replays");
+    let (rep, policy, refile) = replay_trace(&file, None, None, true).expect("fixture replays");
     assert_eq!(policy, "NoPart");
     assert!(rep.cpu_instr > 0);
     assert_eq!(rep.tenants.len(), 2, "tagged fixture must report both tenants");

@@ -68,7 +68,7 @@ fn gen_spec(rng: &mut SeededRng, tag: u64) -> SweepSpec {
     };
     SweepSpec {
         name: format!("prop-{tag}"),
-        scale: h2_harness::sweep::spec::Scale::Tiny,
+        scale: "tiny".into(),
         mixes,
         policies,
         base: vec![("warmup_cycles".into(), 50_000)],
